@@ -273,20 +273,66 @@ class Grid:
         )
 
 
-def _check_gradient(f: ScalarField, e: Event) -> tuple[float, float]:
-    gt, gx = f.gradient(e)
-    fdt = (f.value(Event(e.t + FD_STEP, e.x)) - f.value(Event(e.t - FD_STEP, e.x))) / (
-        2.0 * FD_STEP
-    )
-    fdx = (f.value(Event(e.t, e.x + FD_STEP)) - f.value(Event(e.t, e.x - FD_STEP))) / (
-        2.0 * FD_STEP
-    )
-    tol = max(1e-5, 1e-3 * math.hypot(gt, gx))
-    if math.hypot(fdt - gt, fdx - gx) > tol:
+def _check_gradients(value, gt, gx, t, x) -> None:
+    """Raise :class:`GradientMismatch` at the first event where the supplied
+    gradient (gt, gx) disagrees with central finite differences of
+    ``value(t, x)``, an array function of the event coordinates.
+
+    All arguments broadcast together, so one call checks a whole family of
+    gradients at every event.
+    """
+    h = FD_STEP
+    fdt = (value(t + h, x) - value(t - h, x)) / (2.0 * h)
+    fdx = (value(t, x + h) - value(t, x - h)) / (2.0 * h)
+    tol = np.maximum(1e-5, 1e-3 * np.hypot(gt, gx))
+    t, x, bad = np.broadcast_arrays(t, x, np.hypot(fdt - gt, fdx - gx) > tol)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise GradientMismatch(
-            f"gradient disagrees with finite differences at t={e.t:g}, x={e.x:g}"
+            f"gradient disagrees with finite differences at t={t.flat[k]:g}, x={x.flat[k]:g}"
         )
+
+
+def _checked_gradients(f: ScalarField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Supplied gradient of f at every grid event, validated against central
+    finite differences."""
+    events = grid.events()
+    t, x = np.array([(e.t, e.x) for e in events]).T
+    gt, gx = np.array([f.gradient(e) for e in events], dtype=float).T
+
+    def value(ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return np.array([f.value(Event(a, b)) for a, b in zip(ts.tolist(), xs.tolist())])
+
+    _check_gradients(value, gt, gx, t, x)
     return gt, gx
+
+
+def _cone_certificate(kind: str, symbols: np.ndarray, scalar_margin, tol) -> bool:
+    """True iff every symbol in the stack is negative semidefinite within
+    ``tol``; each verdict is cross-checked against the scalar inequality
+    ``scalar_margin <= tol``."""
+    matrix_ok = is_nsd(symbols, tol)
+    if np.any(matrix_ok != (scalar_margin <= tol)):
+        raise RuntimeError(
+            f"matrix and scalar {kind} predicates disagree; eigenvalue path broken"
+        )
+    return bool(np.all(matrix_ok))
+
+
+def _steep_certificate(gt: np.ndarray, gx: np.ndarray) -> bool:
+    """True iff every gradient (gt[i], gx[i]) is steep, certified by one
+    batched steep-symbol test.
+
+    The tolerance NSD_TOL * max(1, |df/dt|) is relative to the gradient's
+    scale: the largest eigenvalue -df/dt + sqrt(1 + (df/dx)^2) of a
+    borderline-steep gradient carries rounding error of the order of the
+    unit roundoff times df/dt, which an absolute tolerance would flag once
+    df/dt grows past a few million (boost rapidities beyond about 16).
+    """
+    tol = NSD_TOL * np.maximum(1.0, np.abs(gt))
+    return _cone_certificate(
+        "steep", steep_symbol(gt, gx), np.sqrt(1.0 + gx * gx) - gt, tol
+    )
 
 
 def is_causal_function(f: ScalarField, grid: Grid) -> bool:
@@ -296,33 +342,44 @@ def is_causal_function(f: ScalarField, grid: Grid) -> bool:
     df/dt >= |df/dx| at each point; the gradient is validated against central
     finite differences (raising :class:`GradientMismatch` on failure).
     """
-    ok = True
-    for e in grid.events():
-        gt, gx = _check_gradient(f, e)
-        matrix_ok = is_nsd(causal_symbol(gt, gx), NSD_TOL)
-        scalar_ok = abs(gx) - gt <= NSD_TOL
-        if matrix_ok != scalar_ok:
-            raise RuntimeError(
-                "matrix and scalar causal predicates disagree; eigenvalue path broken"
-            )
-        ok = ok and matrix_ok
-    return ok
+    gt, gx = _checked_gradients(f, grid)
+    return _cone_certificate("causal", causal_symbol(gt, gx), np.abs(gx) - gt, NSD_TOL)
 
 
 def is_steep_function(f: ScalarField, grid: Grid) -> bool:
     """True iff the steep symbol is negative semidefinite at every grid point
-    (scalar form df/dt >= sqrt(1 + (df/dx)^2), cross-checked pointwise)."""
-    ok = True
-    for e in grid.events():
-        gt, gx = _check_gradient(f, e)
-        matrix_ok = is_nsd(steep_symbol(gt, gx), NSD_TOL)
-        scalar_ok = math.sqrt(1.0 + gx * gx) - gt <= NSD_TOL
-        if matrix_ok != scalar_ok:
-            raise RuntimeError(
-                "matrix and scalar steep predicates disagree; eigenvalue path broken"
-            )
-        ok = ok and matrix_ok
-    return ok
+    (scalar form df/dt >= sqrt(1 + (df/dx)^2), cross-checked pointwise).
+
+    Gradients are validated against central finite differences first
+    (raising :class:`GradientMismatch` on failure); the tolerance is the
+    scale-relative one of the steep certificate.
+    """
+    return _steep_certificate(*_checked_gradients(f, grid))
+
+
+def _boost_family_is_steep(betas: np.ndarray, grid: Grid) -> bool:
+    """Certify the boost members t cosh(beta) + x sinh(beta) for all ``betas``
+    at once: their gradients (cosh(beta), sinh(beta)) are checked against
+    central finite differences at every event of ``grid``, then certified
+    steep in one batched call."""
+    ct, cx = np.cosh(betas), np.sinh(betas)
+    t, x = np.array([(e.t, e.x) for e in grid.events()]).T
+    _check_gradients(
+        lambda ts, xs: ct[:, None] * ts + cx[:, None] * xs,
+        ct[:, None],
+        cx[:, None],
+        t,
+        x,
+    )
+    return _steep_certificate(ct, cx)
+
+
+def _boost_gain(u: float, v: float, beta: float) -> float:
+    """f(q) - f(p) for the boost member of rapidity ``beta``, in light-cone
+    form: with u = dt + dx and v = dt - dx, dt cosh(beta) + dx sinh(beta)
+    equals 0.5 * (u e^beta + v e^-beta). For a causal pair both terms are
+    nonnegative, so no digits are lost to cancellation near the light cone."""
+    return 0.5 * (u * math.exp(beta) + v * math.exp(-beta))
 
 
 def default_boost_grid(span: float = 6.0, points: int = 49) -> list[float]:
@@ -351,39 +408,14 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
     return best
 
 
-def lorentz_distance_functional(
-    p: Event, q: Event, boost_grid: list[float] | None = None
-) -> float:
-    """Distance functional inf over steep f of max(0, f(q) - f(p)), evaluated
-    on the boost family t cosh(beta) + x sinh(beta).
-
-    Every rapidity actually used is certified steep on a small rectangle
-    covering both events before its value counts. The coarse grid minimum is
-    refined by golden section to an interval of 1e-10; boundary minima are
-    re-bracketed by doubling steps, capped at |beta| = 60 (where the boost
-    family's values are far below every tolerance in use). On the Minkowski
-    plane the result matches sqrt(dt^2 - dx^2) for causal pairs and 0
-    otherwise.
-    """
-    if boost_grid is None:
-        boost_grid = default_boost_grid()
-    grid = sorted(float(b) for b in boost_grid)
-    if not grid:
-        raise ValueError("boost grid must be nonempty")
+def _boost_infimum(gain: Callable[[float], float], grid: list[float]) -> float:
+    """Minimum of ``gain`` over the rapidities: coarse ``grid`` first, then
+    golden section on the bracket around the coarse minimum. A minimum on the
+    grid boundary is re-bracketed by a downhill walk with doubling steps,
+    capped at |beta| = BOOST_CAP. Values at or below zero end the search
+    with 0."""
     n = len(grid)
-    if any(abs(grid[i] + grid[n - 1 - i]) > 1e-12 for i in range(n)):
-        raise ValueError("boost grid must be symmetric around 0")
-    dt = q.t - p.t
-    dx = q.x - p.x
-    check_grid = Grid.covering(p, q, margin=1.0, n_t=3, n_x=3)
-
-    def raw_gain(beta: float) -> float:
-        field = boost_field(beta)
-        if not is_steep_function(field, check_grid):
-            raise RuntimeError("boost family member failed the steep certificate")
-        return dt * math.cosh(beta) + dx * math.sinh(beta)
-
-    values = [raw_gain(b) for b in grid]
+    values = [gain(b) for b in grid]
     best = min(values)
     if best <= 0.0:
         return 0.0
@@ -398,12 +430,12 @@ def lorentz_distance_functional(
             direction = -1.0 if i == 0 else 1.0
             inner = grid[1] if i == 0 else grid[n - 2]
         else:
-            left, right = raw_gain(grid[0] - step), raw_gain(grid[0] + step)
+            left, right = gain(grid[0] - step), gain(grid[0] + step)
             if min(left, right) <= 0.0:
                 return 0.0
             if left >= best and right >= best:
                 lo, hi = grid[0] - step, grid[0] + step
-                refined = _golden_section(raw_gain, lo, hi)
+                refined = _golden_section(gain, lo, hi)
                 return max(0.0, min(best, refined))
             direction = -1.0 if left < right else 1.0
             inner = grid[0] - direction * step
@@ -414,7 +446,7 @@ def lorentz_distance_functional(
             nxt = beta + direction * step
             if abs(nxt) > BOOST_CAP:
                 break
-            nval = raw_gain(nxt)
+            nval = gain(nxt)
             if nval <= 0.0:
                 return 0.0
             if nval >= val:
@@ -425,8 +457,55 @@ def lorentz_distance_functional(
             step *= 2.0
         if bracket is None:
             # monotone tail (lightlike direction): infimum approached at the cap
-            return max(0.0, min(val, raw_gain(direction * BOOST_CAP)))
+            return max(0.0, min(val, gain(direction * BOOST_CAP)))
         lo, hi = bracket
 
-    refined = _golden_section(raw_gain, lo, hi)
+    refined = _golden_section(gain, lo, hi)
     return max(0.0, min(best, refined))
+
+
+def lorentz_distance_functional(
+    p: Event, q: Event, boost_grid: list[float] | None = None
+) -> float:
+    """Distance functional inf over steep f of max(0, f(q) - f(p)), evaluated
+    on the boost family t cosh(beta) + x sinh(beta).
+
+    Each rapidity is evaluated with plain float arithmetic in light-cone form,
+    0.5 * ((dt + dx) e^beta + (dt - dx) e^-beta), whose terms never cancel
+    for a causal pair, so near-null pairs keep full relative accuracy. The
+    coarse grid minimum is refined by golden section to an interval of 1e-10;
+    boundary minima are re-bracketed by doubling steps, capped at |beta| = 60
+    (where the boost family's values are far below every tolerance in use).
+    An exactly null pair (dt + dx == 0 or dt - dx == 0) gives exactly 0, the
+    limit that the capped search only approaches.
+
+    Before the value is returned, every rapidity the search used is certified
+    in one batched steep certificate on a small rectangle covering both
+    events: each member's gradient is checked against central finite
+    differences at every event of the rectangle, then its steep symbol is
+    tested with the scale-relative tolerance NSD_TOL * max(1, |df/dt|).
+    On the Minkowski plane the result matches sqrt(dt^2 - dx^2) for causal
+    pairs and 0 otherwise.
+    """
+    if boost_grid is None:
+        boost_grid = default_boost_grid()
+    grid = sorted(float(b) for b in boost_grid)
+    if not grid:
+        raise ValueError("boost grid must be nonempty")
+    n = len(grid)
+    if any(abs(grid[i] + grid[n - 1 - i]) > 1e-12 for i in range(n)):
+        raise ValueError("boost grid must be symmetric around 0")
+    dt = q.t - p.t
+    dx = q.x - p.x
+    u, v = dt + dx, dt - dx
+    used: list[float] = []
+
+    def gain(beta: float) -> float:
+        used.append(beta)
+        return _boost_gain(u, v, beta)
+
+    value = _boost_infimum(gain, grid)
+    check_grid = Grid.covering(p, q, margin=1.0, n_t=3, n_x=3)
+    if not _boost_family_is_steep(np.array(used), check_grid):
+        raise RuntimeError("boost family member failed the steep certificate")
+    return 0.0 if u == 0.0 or v == 0.0 else value

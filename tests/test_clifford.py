@@ -137,6 +137,23 @@ def test_causal_symbol_is_linear():
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
+def test_batched_symbols_match_scalar_calls():
+    # one assembly path: the array call must equal the scalar calls exactly
+    rng = np.random.default_rng(10)
+    dft, dfx = rng.uniform(-4, 4, (2, 1000))
+    for symbol in (causal_symbol, steep_symbol):
+        stack = symbol(dft, dfx)
+        assert stack.shape == (1000, 2, 2)
+        single = np.array([symbol(float(a), float(b)) for a, b in zip(dft, dfx)])
+        assert np.array_equal(stack, single)
+        eig = hermitian_eigenvalues(stack)
+        assert eig.shape == (1000, 2)
+        assert np.array_equal(eig, np.array([hermitian_eigenvalues(m) for m in single]))
+        verdicts = is_nsd(stack, 1e-9)
+        assert verdicts.shape == (1000,)
+        assert verdicts.tolist() == [is_nsd(m, 1e-9) for m in single]
+
+
 def test_is_nsd_trivial_cases():
     assert is_nsd(np.zeros((2, 2)), 1e-9)
     assert is_nsd(-np.eye(2), 1e-9)
@@ -162,3 +179,10 @@ def test_ensure_hermitian_symmetrizes_dust():
 def test_ensure_hermitian_rejects_large_skew():
     with pytest.raises(NotHermitian):
         ensure_hermitian(np.array([[0.0, 1e-3], [-1e-3, 0.0]]))
+
+
+def test_ensure_hermitian_rejects_one_bad_matrix_in_a_stack():
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = 1e-3
+    with pytest.raises(NotHermitian):
+        ensure_hermitian(stack)

@@ -18,6 +18,7 @@ from nccausal import (
     affine_field,
     boost_field,
     causally_precedes,
+    default_boost_grid,
     is_causal_function,
     is_steep_function,
     lorentz_distance_functional,
@@ -25,6 +26,7 @@ from nccausal import (
     max_proper_time,
     proper_time,
 )
+from nccausal import spacetime
 from nccausal.verify import random_spacelike_pair, random_timelike_pair
 
 E = Event
@@ -122,7 +124,88 @@ def test_is_steep_function_examples():
     grid = Grid(-1.0, 1.0, -1.0, 1.0, 11, 11)
     assert is_steep_function(affine_field(1.0, 0.0), grid)  # borderline
     assert is_steep_function(boost_field(1.0), grid)
+    # df/dt ~ 1e7 to 1e8: borderline up to rounding of the order of 1e-9
+    for beta in (-21.9, -19.3, -17.8, 16.9, 19.0):
+        assert is_steep_function(boost_field(beta), grid)
     assert not is_steep_function(affine_field(0.5, 0.0), grid)
+
+
+def test_is_steep_function_rejects_bad_gradient():
+    grid = Grid(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    lying = ScalarField(value=lambda e: 2.0 * e.t, gradient=lambda e: (3.0, 0.0))
+    with pytest.raises(GradientMismatch):
+        is_steep_function(lying, grid)
+
+
+BOOST_BETAS = np.linspace(-spacetime.BOOST_CAP, spacetime.BOOST_CAP, 241)
+
+
+def test_steep_certificate_accepts_boost_gradients_up_to_cap():
+    gt, gx = np.cosh(BOOST_BETAS), np.sinh(BOOST_BETAS)
+    assert spacetime._steep_certificate(gt, gx)
+    for i in range(len(BOOST_BETAS)):
+        assert spacetime._steep_certificate(gt[i : i + 1], gx[i : i + 1])
+
+
+def test_steep_certificate_rejects_slightly_shallow_gradients_up_to_cap():
+    gx = np.sinh(BOOST_BETAS)
+    gt = np.sqrt(1.0 + gx * gx) * (1.0 - 1e-6)
+    assert not spacetime._steep_certificate(gt, gx)
+    for i in range(len(BOOST_BETAS)):
+        assert not spacetime._steep_certificate(gt[i : i + 1], gx[i : i + 1])
+
+
+def test_boost_gradient_check_rejects_lying_family():
+    ct, cx = np.cosh(BOOST_BETAS)[:, None], np.sinh(BOOST_BETAS)[:, None]
+    t, x = np.array([-2.0, 0.0, 3.0]), np.array([1.0, 0.0, -4.0])
+
+    def family(ts, xs):
+        return ct * ts + cx * xs
+
+    spacetime._check_gradients(family, ct, cx, t, x)
+    with pytest.raises(GradientMismatch):
+        spacetime._check_gradients(family, ct * 1.01, cx, t, x)
+
+
+def test_functional_certifies_exactly_the_rapidities_it_evaluated(monkeypatch):
+    evaluated, checked, certified = [], [], []
+    gain, certificate = spacetime._boost_gain, spacetime._steep_certificate
+    gradient_check = spacetime._check_gradients
+
+    def spy_gain(u, v, beta):
+        evaluated.append(beta)
+        return gain(u, v, beta)
+
+    def spy_certificate(gt, gx):
+        certified.append((gt.tolist(), gx.tolist()))
+        return certificate(gt, gx)
+
+    def spy_gradient_check(value, gt, gx, t, x):
+        checked.append((np.ravel(gt).tolist(), np.ravel(gx).tolist(), np.size(t)))
+        return gradient_check(value, gt, gx, t, x)
+
+    monkeypatch.setattr(spacetime, "_boost_gain", spy_gain)
+    monkeypatch.setattr(spacetime, "_check_gradients", spy_gradient_check)
+    monkeypatch.setattr(spacetime, "_steep_certificate", spy_certificate)
+    cases = [
+        (E(5, 3), None),
+        (E(3.0, 2.9999999999999467), None),
+        (E(1, 1), None),
+        (E(0, 1), None),
+        (E(5, 3), [0.0]),
+    ]
+    for q, boost_grid in cases:
+        evaluated.clear()
+        checked.clear()
+        certified.clear()
+        lorentz_distance_functional(E(0, 0), q, boost_grid=boost_grid)
+        assert len(certified) == 1
+        betas = np.array(evaluated)
+        gt, gx = certified[0]
+        assert len(gt) == len(betas) >= len(boost_grid or default_boost_grid())
+        assert set(zip(gt, gx)) == set(zip(np.cosh(betas).tolist(), np.sinh(betas).tolist()))
+        # the same members were gradient-checked at all nine rectangle events
+        assert checked == [(gt, gx, 9)]
 
 
 def test_causal_functions_form_a_convex_cone():
@@ -158,8 +241,22 @@ def test_functional_pure_time_step():
 
 
 def test_functional_null_pair_vanishes():
-    assert lorentz_distance_functional(E(0, 0), E(1, 1)) <= 1e-9
-    assert lorentz_distance_functional(E(0, 0), E(2, -2)) <= 1e-9
+    assert lorentz_distance_functional(E(0, 0), E(1, 1)) == 0.0
+    assert lorentz_distance_functional(E(0, 0), E(2, -2)) == 0.0
+    assert lorentz_distance_functional(E(0, 0), E(1e5, 1e5)) == 0.0
+
+
+def test_functional_near_null_sweep():
+    # |dx|/dt = 1 - 10^(-k/4) approaches the light cone to within a few ulps;
+    # the reference is the factored form, since dt^2 - dx^2 itself cancels
+    # (about 3 % of tau at k >= 50)
+    for dt in (0.5, 1.0, 3.0, 10.0):
+        for k in range(1, 60):
+            for sign in (1.0, -1.0):
+                dx = sign * dt * (1.0 - 10.0 ** (-k / 4))
+                tau = math.sqrt((dt - dx) * (dt + dx))
+                got = lorentz_distance_functional(E(0, 0), E(dt, dx))
+                assert abs(got - tau) <= 1e-9 * max(1.0, tau), (dt, k, sign)
 
 
 def test_functional_requires_symmetric_grid():
