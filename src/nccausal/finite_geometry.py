@@ -195,7 +195,10 @@ def spectral_distance(
     :func:`divergence_witness` for a constructive certificate). Otherwise the
     value comes from seeded multi-start projected gradient ascent on the four
     real parameters (a11, a22, Re a12, Im a12); the feasible set is the product
-    of a clipped box for the diagonal and the disk |a12| <= 1/|d1 - d2|.
+    of a clipped box for the diagonal and the disk |a12| <= 1/|d1 - d2|. The
+    diagonal moves ``step`` times its gradient per iteration and the disk
+    coordinates ``step`` disk radii along theirs, so the iteration count grows
+    only with the logarithm of distance / ``tol``.
     """
     opts = opts or OptimizerOptions()
     if abs(latitude(s1) - latitude(s2)) > LATITUDE_TOL:
@@ -219,9 +222,17 @@ def spectral_distance(
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, opts.n_starts))
     x[:, 2] = radii * np.cos(angles)
     x[:, 3] = radii * np.sin(angles)
+    # the disk coordinates move ``step`` radii per iteration along the
+    # gradient's direction, so the angular error on the boundary shrinks by
+    # the same factor whatever the gradient's size: near-identical states
+    # take no more iterations than distant ones
+    move = opts.step * grad
+    disk = math.hypot(grad[2], grad[3])
+    if disk > 0.0:
+        move[2:] = (opts.step * radius) * (grad[2:] / disk)
     best = x @ grad
     for _ in range(opts.max_iter):
-        x += opts.step * grad
+        x += move
         np.clip(x[:, :2], -opts.diag_clip, opts.diag_clip, out=x[:, :2])
         norms = np.hypot(x[:, 2], x[:, 3])
         over = norms > radius
