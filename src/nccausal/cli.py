@@ -8,6 +8,7 @@ doubles round-trip bit-faithfully.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -53,10 +54,7 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
 
 
 def _load(args: argparse.Namespace) -> Scene:
-    scene = load_scene(args.scene) if args.scene else default_scene()
-    if args.seed is not None:
-        scene = scene.with_seed(args.seed)
-    return scene
+    return load_scene(args.scene) if args.scene else default_scene()
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -89,9 +87,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     w1 = scene.state(args.name1)
     w2 = scene.state(args.name2)
     if args.kind == "internal":
-        result = spectral_distance(
-            scene.dirac, w1.internal, w2.internal, scene.optimizer
-        )
+        result = spectral_distance(scene.dirac, w1.internal, w2.internal)
         text = "infinite" if result.is_infinite else _fmt(result.value)
         print(f"internal distance {args.name1} -> {args.name2}: {text}")
         value = "inf" if result.is_infinite else _fmt(result.value)
@@ -164,16 +160,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scene = _load(args)
-    results = run_suites(
-        args.suite, scene.optimizer.seed, scene.dirac, scene.optimizer
-    )
+    if args.seed is not None:
+        scene = dataclasses.replace(scene, seed=args.seed)
+    results = run_suites(args.suite, scene.seed, scene.dirac)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.suite}.{r.name}  value={_fmt(r.value)}")
     n_pass = sum(r.passed for r in results)
     print(
         f"verify: {n_pass}/{len(results)} checks passed"
-        f" (suite={args.suite}, seed={scene.optimizer.seed})"
+        f" (suite={args.suite}, seed={scene.seed})"
     )
     if args.out:
         _write_csv(
@@ -199,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scene", help="scene JSON file (default: built-in scene)")
-        p.add_argument("--seed", type=int, help="override the scene seed")
         p.add_argument("--out", help="CSV output path")
 
     p_check = sub.add_parser("check", help="decide whether two named states are causally related")
@@ -235,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int, help="override the scene seed")
     p_verify.add_argument(
         "--suite", default="all", choices=("all",) + SUITE_NAMES
     )

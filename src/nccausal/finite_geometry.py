@@ -3,10 +3,12 @@ between them.
 
 States are normalized, phase-fixed vectors in C^2 carrying their Bloch
 coordinates (x, y, z); z is the latitude and the polar angle in the x-y plane
-the longitude. The distance is a constrained maximization over Hermitian 2x2
-elements with commutator norm at most one. Pairs on different parallels of
-latitude are infinitely far apart: the diagonal direction of the algebra
-commutes with the internal Dirac operator, so nothing bounds it.
+the longitude. The distance is a maximization over Hermitian 2x2 elements
+with commutator norm at most one; for a diagonal Dirac operator it has the
+exact closed form chord / |d1 - d2| between the Bloch vectors' projections on
+the equatorial plane. Pairs on different parallels of latitude are infinitely
+far apart: the diagonal direction of the algebra commutes with the internal
+Dirac operator, so nothing bounds it.
 """
 
 from __future__ import annotations
@@ -143,18 +145,6 @@ def commutator_norm(df: FiniteDirac, a: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class OptimizerOptions:
-    """Projected-ascent controls for the spectral distance."""
-
-    seed: int = 42
-    n_starts: int = 32
-    step: float = 0.1
-    max_iter: int = 10_000
-    tol: float = 1e-10
-    diag_clip: float = 1e6
-
-
-@dataclass(frozen=True)
 class DistanceResult:
     """Finite value or the infinite marker (value None)."""
 
@@ -177,75 +167,26 @@ class DistanceResult:
         return self.value is None
 
 
-def _projector_difference(s1: InternalState, s2: InternalState) -> np.ndarray:
-    v1, v2 = _state_vector(s1), _state_vector(s2)
-    return np.outer(v1, v1.conj()) - np.outer(v2, v2.conj())
-
-
 def spectral_distance(
-    df: FiniteDirac,
-    s1: InternalState,
-    s2: InternalState,
-    opts: OptimizerOptions | None = None,
+    df: FiniteDirac, s1: InternalState, s2: InternalState
 ) -> DistanceResult:
     """Supremum of |s1(a) - s2(a)| over Hermitian a with commutator norm <= 1.
 
     Latitude mismatch beyond 1e-9 is reported as infinite analytically (the
     unconstrained diagonal direction makes the objective unbounded; see
     :func:`divergence_witness` for a constructive certificate). Otherwise the
-    value comes from seeded multi-start projected gradient ascent on the four
-    real parameters (a11, a22, Re a12, Im a12); the feasible set is the product
-    of a clipped box for the diagonal and the disk |a12| <= 1/|d1 - d2|. The
-    diagonal moves ``step`` times its gradient per iteration and the disk
-    coordinates ``step`` disk radii along theirs, so the iteration count grows
-    only with the logarithm of distance / ``tol``.
+    supremum is attained on the disk |a12| <= 1/|d1 - d2| at the off-diagonal
+    element aligned with the projector difference, which gives the exact value
+    2 |(P1 - P2)_21| / |d1 - d2| (Iochum, Krajewski and Martinetti, "Distances
+    in finite spaces from noncommutative geometry", J. Geom. Phys. 2001). That
+    entry is half the difference of the Bloch vectors' equatorial parts, so the
+    value is their chord over the gap, which stays valid at the poles.
     """
-    opts = opts or OptimizerOptions()
     if abs(latitude(s1) - latitude(s2)) > LATITUDE_TOL:
         return DistanceResult.infinite()
-    delta = _projector_difference(s1, s2)
-    # objective is linear in (a11, a22, Re a12, Im a12)
-    grad = np.array(
-        [
-            delta[0, 0].real,
-            delta[1, 1].real,
-            2.0 * delta[1, 0].real,
-            -2.0 * delta[1, 0].imag,
-        ]
-    )
-    radius = 1.0 / df.gap
-    rng = np.random.default_rng(opts.seed)
-    x = np.empty((opts.n_starts, 4))
-    x[:, 0] = rng.uniform(-1.0, 1.0, opts.n_starts)
-    x[:, 1] = rng.uniform(-1.0, 1.0, opts.n_starts)
-    angles = rng.uniform(-math.pi, math.pi, opts.n_starts)
-    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, opts.n_starts))
-    x[:, 2] = radii * np.cos(angles)
-    x[:, 3] = radii * np.sin(angles)
-    # the disk coordinates move ``step`` radii per iteration along the
-    # gradient's direction, so the angular error on the boundary shrinks by
-    # the same factor whatever the gradient's size: near-identical states
-    # take no more iterations than distant ones
-    move = opts.step * grad
-    disk = math.hypot(grad[2], grad[3])
-    if disk > 0.0:
-        move[2:] = (opts.step * radius) * (grad[2:] / disk)
-    best = x @ grad
-    for _ in range(opts.max_iter):
-        x += move
-        np.clip(x[:, :2], -opts.diag_clip, opts.diag_clip, out=x[:, :2])
-        norms = np.hypot(x[:, 2], x[:, 3])
-        over = norms > radius
-        if np.any(over):
-            scale = radius / norms[over]
-            x[over, 2] *= scale
-            x[over, 3] *= scale
-        current = x @ grad
-        improvement = float(np.max(current - best))
-        best = np.maximum(best, current)
-        if improvement < opts.tol:
-            break
-    return DistanceResult.finite(max(float(best.max()), 0.0))
+    dx = s1.bloch[0] - s2.bloch[0]
+    dy = s1.bloch[1] - s2.bloch[1]
+    return DistanceResult.finite(math.hypot(dx, dy) / df.gap)
 
 
 def parallel_distance_closed_form(
@@ -254,9 +195,10 @@ def parallel_distance_closed_form(
     """Closed form 2 sqrt(1 - z^2) |sin(dtheta / 2)| / |d1 - d2| for a pair on
     a shared parallel of latitude z.
 
-    Derived from the optimizer geometry (chordal distance in the equatorial
-    plane over the commutator radius); the test suite validates it against the
-    numerical optimizer before it is trusted as an oracle anywhere.
+    Written in latitude and longitude, independently of the Bloch chord that
+    :func:`spectral_distance` uses, so the two cross-check each other; the
+    test suite validates both against the explicit maximizer and a sampled
+    supremum over the feasible set.
     """
     z1, z2 = latitude(s1), latitude(s2)
     if abs(z1 - z2) > LATITUDE_TOL:
@@ -311,13 +253,8 @@ class RotatedDirac:
     def map_state(self, s: InternalState) -> InternalState:
         return make_state(self.unitary @ _state_vector(s))
 
-    def spectral_distance(
-        self,
-        s1: InternalState,
-        s2: InternalState,
-        opts: OptimizerOptions | None = None,
-    ) -> DistanceResult:
-        return spectral_distance_general(self.matrix, s1, s2, opts)
+    def spectral_distance(self, s1: InternalState, s2: InternalState) -> DistanceResult:
+        return spectral_distance_general(self.matrix, s1, s2)
 
 
 def unitary_conjugate(df: FiniteDirac, u: np.ndarray) -> RotatedDirac:
@@ -337,16 +274,15 @@ def spectral_distance_general(
     matrix: np.ndarray,
     s1: InternalState,
     s2: InternalState,
-    opts: OptimizerOptions | None = None,
 ) -> DistanceResult:
     """Distance under a general Hermitian internal Dirac operator.
 
-    Diagonalizes the operator and runs the standard optimizer in its
-    eigenbasis; the unitarily transported states feed the same ascent.
+    Diagonalizes the operator and applies :func:`spectral_distance` to the
+    states transported into its eigenbasis.
     """
     m = ensure_hermitian(matrix)
     evals, vecs = np.linalg.eigh(m)
     df = FiniteDirac(float(evals[0]), float(evals[1]))
     t1 = make_state(vecs.conj().T @ _state_vector(s1))
     t2 = make_state(vecs.conj().T @ _state_vector(s2))
-    return spectral_distance(df, t1, t2, opts)
+    return spectral_distance(df, t1, t2)

@@ -28,7 +28,6 @@ from .finite_geometry import (
     state_eval,
 )
 from .spacetime import (
-    Curve,
     Event,
     Grid,
     _ascend_proper_time,
@@ -235,9 +234,6 @@ class ProductCurve:
         )
         if len(self.vertices) < 2:
             raise ValueError("a product curve needs at least two vertices")
-
-    def base_curve(self) -> Curve:
-        return Curve(tuple(e for e, _ in self.vertices))
 
     def validate(self, df: FiniteDirac, tol: float = 0.0) -> None:
         gap2 = df.gap * df.gap

@@ -1,9 +1,11 @@
 """Scene files: a named collection of product states plus the Dirac operator,
-grid, and optimizer settings, serialized as JSON.
+grid, and the seed of the ``verify`` suites, serialized as JSON.
 
 Angles are radians and complex numbers are [re, im] pairs. States are stored
 as a list of named entries so duplicate names can be rejected at parse time
-(JSON object keys would be silently deduplicated).
+(JSON object keys would be silently deduplicated). Files written before the
+seed moved to the top level keep it in an ``optimizer`` block; its seed is
+read and its other keys are ignored.
 """
 
 from __future__ import annotations
@@ -12,12 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import SceneError, UnknownState
-from .finite_geometry import (
-    FiniteDirac,
-    OptimizerOptions,
-    make_state,
-    state_on_parallel,
-)
+from .finite_geometry import FiniteDirac, make_state, state_on_parallel
 from .product_causality import ProductState
 from .spacetime import Event, Grid
 
@@ -27,7 +24,7 @@ class Scene:
     dirac: FiniteDirac
     states: dict[str, ProductState] = field(default_factory=dict)
     grid: Grid = field(default_factory=lambda: Grid(-1.0, 4.0, -3.0, 3.0, 41, 41))
-    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
+    seed: int = 42
 
     def state(self, name: str) -> ProductState:
         try:
@@ -36,17 +33,6 @@ class Scene:
             raise UnknownState(
                 f"scene has no state named {name!r}; available: {sorted(self.states)}"
             ) from None
-
-    def with_seed(self, seed: int) -> "Scene":
-        opts = OptimizerOptions(
-            seed=seed,
-            n_starts=self.optimizer.n_starts,
-            step=self.optimizer.step,
-            max_iter=self.optimizer.max_iter,
-            tol=self.optimizer.tol,
-            diag_clip=self.optimizer.diag_clip,
-        )
-        return Scene(self.dirac, dict(self.states), self.grid, opts)
 
     def to_dict(self) -> dict:
         return {
@@ -70,14 +56,7 @@ class Scene:
                 "n_t": self.grid.n_t,
                 "n_x": self.grid.n_x,
             },
-            "optimizer": {
-                "seed": self.optimizer.seed,
-                "n_starts": self.optimizer.n_starts,
-                "step": self.optimizer.step,
-                "max_iter": self.optimizer.max_iter,
-                "tol": self.optimizer.tol,
-                "diag_clip": self.optimizer.diag_clip,
-            },
+            "seed": self.seed,
         }
 
     def to_json(self) -> str:
@@ -121,20 +100,13 @@ class Scene:
             except (KeyError, TypeError, ValueError) as exc:
                 raise SceneError(f"invalid grid block: {exc}") from exc
 
-        opt_raw = data.get("optimizer", {})
+        legacy = data.get("optimizer", {})
         try:
-            optimizer = OptimizerOptions(
-                seed=int(opt_raw.get("seed", 42)),
-                n_starts=int(opt_raw.get("n_starts", 32)),
-                step=float(opt_raw.get("step", 0.1)),
-                max_iter=int(opt_raw.get("max_iter", 10_000)),
-                tol=float(opt_raw.get("tol", 1e-10)),
-                diag_clip=float(opt_raw.get("diag_clip", 1e6)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise SceneError(f"invalid optimizer block: {exc}") from exc
+            seed = int(data["seed"] if "seed" in data else legacy.get("seed", 42))
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise SceneError(f"invalid seed: {exc}") from exc
 
-        return cls(dirac=dirac, states=states, grid=grid, optimizer=optimizer)
+        return cls(dirac=dirac, states=states, grid=grid, seed=seed)
 
     @classmethod
     def from_json(cls, text: str) -> "Scene":
@@ -163,7 +135,7 @@ def save_scene(scene: Scene, path: str) -> None:
 
 def default_scene() -> Scene:
     """Reference scene: Dirac gap 1, a handful of states covering the
-    related/unrelated cases, and the default optimizer settings."""
+    related/unrelated cases, and the default seed."""
     dirac = FiniteDirac(0.0, 1.0)
     equator = lambda theta: state_on_parallel(0.0, theta)  # noqa: E731
     states = {

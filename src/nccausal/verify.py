@@ -23,7 +23,6 @@ from .clifford import (
 from .finite_geometry import (
     FiniteDirac,
     InternalState,
-    OptimizerOptions,
     commutator_norm,
     divergence_witness,
     latitude,
@@ -232,7 +231,7 @@ def verify_clifford(seed: int) -> list[CheckResult]:
     return results
 
 
-def verify_finite(seed: int, df: FiniteDirac, opts: OptimizerOptions) -> list[CheckResult]:
+def verify_finite(seed: int, df: FiniteDirac) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
@@ -248,7 +247,7 @@ def verify_finite(seed: int, df: FiniteDirac, opts: OptimizerOptions) -> list[Ch
     worst = 0.0
     for _ in range(100):
         s1, s2 = random_parallel_pair(rng)
-        got = spectral_distance(df, s1, s2, opts)
+        got = spectral_distance(df, s1, s2)
         want = parallel_distance_closed_form(df, s1, s2)
         worst = max(worst, abs((got.value or math.inf) - want))
     results.append(
@@ -258,8 +257,8 @@ def verify_finite(seed: int, df: FiniteDirac, opts: OptimizerOptions) -> list[Ch
     worst = 0.0
     for _ in range(20):
         s1, s2 = random_parallel_pair(rng)
-        d12 = spectral_distance(df, s1, s2, opts).value
-        d21 = spectral_distance(df, s2, s1, opts).value
+        d12 = spectral_distance(df, s1, s2).value
+        d21 = spectral_distance(df, s2, s1).value
         worst = max(worst, abs(d12 - d21))
     results.append(CheckResult("finite", "distance_symmetry", worst <= 1e-6, worst))
 
@@ -268,9 +267,9 @@ def verify_finite(seed: int, df: FiniteDirac, opts: OptimizerOptions) -> list[Ch
         z = float(rng.uniform(-0.9, 0.9))
         th = rng.uniform(-math.pi, math.pi, 3)
         s = [state_on_parallel(z, t) for t in th]
-        d01 = spectral_distance(df, s[0], s[1], opts).value
-        d12 = spectral_distance(df, s[1], s[2], opts).value
-        d02 = spectral_distance(df, s[0], s[2], opts).value
+        d01 = spectral_distance(df, s[0], s[1]).value
+        d12 = spectral_distance(df, s[1], s[2]).value
+        d02 = spectral_distance(df, s[0], s[2]).value
         worst = max(worst, d02 - (d01 + d12))
     results.append(
         CheckResult("finite", "triangle_on_parallel", worst <= 1e-6, worst)
@@ -279,14 +278,13 @@ def verify_finite(seed: int, df: FiniteDirac, opts: OptimizerOptions) -> list[Ch
     worst = 0.0
     for _ in range(15):
         s1, s2 = random_parallel_pair(rng)
-        base = spectral_distance(df, s1, s2, opts).value
+        base = spectral_distance(df, s1, s2).value
         z = latitude(s1)
         for delta in (0.5, -1.3):
             shifted = spectral_distance(
                 df,
                 state_on_parallel(z, longitude(s1) + delta),
                 state_on_parallel(z, longitude(s2) + delta),
-                opts,
             ).value
             worst = max(worst, abs(shifted - base))
     results.append(
@@ -297,7 +295,7 @@ def verify_finite(seed: int, df: FiniteDirac, opts: OptimizerOptions) -> list[Ch
     min_witness = math.inf
     for _ in range(50):
         s1, s2 = random_cross_latitude_pair(rng)
-        if not spectral_distance(df, s1, s2, opts).is_infinite:
+        if not spectral_distance(df, s1, s2).is_infinite:
             violations += 1
         min_witness = min(min_witness, divergence_witness(df, s1, s2))
     results.append(
@@ -310,10 +308,10 @@ def verify_finite(seed: int, df: FiniteDirac, opts: OptimizerOptions) -> list[Ch
     worst = 0.0
     for _ in range(20):
         s1, s2 = random_parallel_pair(rng)
-        base = spectral_distance(df, s1, s2, opts).value
+        base = spectral_distance(df, s1, s2).value
         u = random_unitary(rng)
         rotated = unitary_conjugate(df, u)
-        moved = rotated.spectral_distance(rotated.map_state(s1), rotated.map_state(s2), opts)
+        moved = rotated.spectral_distance(rotated.map_state(s1), rotated.map_state(s2))
         worst = max(worst, abs(moved.value - base))
     results.append(
         CheckResult("finite", "rotation_invariance", worst <= 1e-6, worst)
@@ -610,19 +608,14 @@ def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
     return results
 
 
-def run_suites(
-    suite: str,
-    seed: int,
-    df: FiniteDirac,
-    opts: OptimizerOptions,
-) -> list[CheckResult]:
+def run_suites(suite: str, seed: int, df: FiniteDirac) -> list[CheckResult]:
     if suite not in SUITE_NAMES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES} or 'all'")
     results: list[CheckResult] = []
     if suite in ("all", "clifford"):
         results += verify_clifford(seed)
     if suite in ("all", "finite"):
-        results += verify_finite(seed, df, opts)
+        results += verify_finite(seed, df)
     if suite in ("all", "spacetime"):
         results += verify_spacetime(seed)
     if suite in ("all", "product"):

@@ -1,8 +1,9 @@
 """Internal states, Bloch coordinates, and the spectral distance.
 
 Brute-force oracles live in this file: the commutator norm is cross-checked
-against singular values, and the distance optimizer against feasible-point
-sampling plus the closed form it is meant to agree with.
+against singular values, and the closed-form spectral distance against the
+explicit maximizer, a sampled supremum over the feasible set, and the
+independent sine form in latitude and longitude.
 """
 
 import math
@@ -14,7 +15,6 @@ from nccausal import (
     DistanceResult,
     FiniteDirac,
     NotUnitary,
-    OptimizerOptions,
     PoleState,
     ZeroVector,
     commutator_norm,
@@ -197,27 +197,56 @@ def test_spectral_distance_cross_latitude_is_infinite():
     assert spectral_distance(df, north, equator).is_infinite
 
 
-def test_closed_form_validated_against_optimizer():
+def _feasible_samples(df: FiniteDirac, rng: np.random.Generator) -> list[np.ndarray]:
+    """2000 Hermitian elements with commutator norm at most one: a random
+    diagonal plus an off-diagonal entry inside the disk |a12| <= 1/gap for the
+    first half and on its boundary for the second."""
+    radius = 1.0 / df.gap
+    samples = []
+    for k in range(2000):
+        diag = rng.uniform(-5, 5, 2)
+        r = radius * (math.sqrt(rng.uniform(0, 1)) if k < 1000 else 1.0)
+        ang = rng.uniform(-math.pi, math.pi)
+        off = r * complex(math.cos(ang), math.sin(ang))
+        a = np.array([[diag[0], off], [np.conj(off), diag[1]]])
+        assert commutator_norm(df, a) <= 1.0 + 1e-12
+        samples.append(a)
+    return samples
+
+
+def test_spectral_distance_attained_by_explicit_maximizer():
+    """The off-diagonal element aligned with the projector difference,
+    a* = (1/gap) [[0, conj(D10)/|D10|], [D10/|D10|, 0]] with D = P1 - P2, is
+    feasible and attains the distance, and no sampled feasible element does
+    better: the closed form is the supremum, checked without using it."""
     df = FiniteDirac(0.5, 2.0)
     rng = np.random.default_rng(6)
+    samples = _feasible_samples(df, np.random.default_rng(60))
     for _ in range(30):
         s1, s2 = random_parallel_pair(rng)
         got = spectral_distance(df, s1, s2).value
         want = parallel_distance_closed_form(df, s1, s2)
         assert abs(got - want) <= 1e-6
 
+        d10 = s1.xi2 * s1.xi1.conjugate() - s2.xi2 * s2.xi1.conjugate()
+        u = d10 / abs(d10)
+        a_star = np.array([[0.0, u.conjugate()], [u, 0.0]]) / df.gap
+        assert commutator_norm(df, a_star) <= 1.0 + 1e-12
+        attained = abs(state_eval(s1, a_star) - state_eval(s2, a_star))
+        assert abs(attained - got) <= 1e-12
 
-def test_spectral_distance_close_pairs_converge_in_few_iterations():
-    """The disk step scales with the disk radius, not with the gradient, so
-    the ascent converges as fast for nearly identical states as for distant
-    ones: 200 iterations reach the closed form to a relative 1e-6 at every
-    scale of longitude offset."""
-    opts = OptimizerOptions(max_iter=200)
+        best = max(abs(state_eval(s1, a) - state_eval(s2, a)) for a in samples)
+        assert best <= got + 1e-12
+
+
+def test_spectral_distance_close_pairs_match_closed_form():
+    """Nearly identical states keep full relative accuracy at every scale of
+    longitude offset."""
     for df in (FiniteDirac(0.0, 1.0), FiniteDirac(1.0, 3.5)):
         for dtheta in (3.0, 1.0, 1e-2, 1e-4, 1e-6, 1e-8):
             s1 = state_on_parallel(0.3, 0.2)
             s2 = state_on_parallel(0.3, 0.2 + dtheta)
-            got = spectral_distance(df, s1, s2, opts).value
+            got = spectral_distance(df, s1, s2).value
             want = parallel_distance_closed_form(df, s1, s2)
             assert abs(got - want) <= 1e-6 * want + 1e-12
 
@@ -280,13 +309,12 @@ def test_unitary_conjugate_rejects_non_unitary():
 def test_distance_invariant_under_twenty_random_rotations():
     df = FiniteDirac(0.0, 1.0)
     rng = np.random.default_rng(11)
-    opts = OptimizerOptions()
     for _ in range(20):
         s1, s2 = random_parallel_pair(rng)
-        base = spectral_distance(df, s1, s2, opts).value
+        base = spectral_distance(df, s1, s2).value
         u = random_unitary(rng)
         rot = unitary_conjugate(df, u)
-        moved = rot.spectral_distance(rot.map_state(s1), rot.map_state(s2), opts)
+        moved = rot.spectral_distance(rot.map_state(s1), rot.map_state(s2))
         assert abs(moved.value - base) <= 1e-6
 
 

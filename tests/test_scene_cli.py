@@ -48,6 +48,35 @@ def test_scene_rejects_bad_json():
         Scene.from_json("{not json")
 
 
+def test_scene_writes_a_top_level_seed():
+    data = default_scene().to_dict()
+    assert data["seed"] == 42
+    assert "optimizer" not in data
+
+
+def test_scene_reads_the_seed_of_a_legacy_optimizer_block():
+    data = default_scene().to_dict()
+    del data["seed"]
+    data["optimizer"] = {"seed": 7, "n_starts": 32, "step": 0.1,
+                         "max_iter": 10000, "tol": 1e-10, "diag_clip": 1e6}
+    scene = Scene.from_dict(data)
+    assert scene.seed == 7
+    assert Scene.from_json(scene.to_json()) == scene
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"seed": "abc"}, {"seed": None}, {"seed": [1]}, {"seed": float("inf")},
+     {"optimizer": {"seed": "abc"}}, {"optimizer": None}],
+)
+def test_scene_rejects_malformed_seed(patch):
+    data = default_scene().to_dict()
+    del data["seed"]
+    data.update(patch)
+    with pytest.raises(SceneError):
+        Scene.from_dict(data)
+
+
 def test_check_related_exit_zero(capsys):
     assert run_cli("check", "origin", "timelike") == 0
     out = capsys.readouterr().out
@@ -174,6 +203,24 @@ def test_verify_runs_only_requested_suite(capsys):
     assert run_cli("verify", "--suite", "clifford") == 0
     out = capsys.readouterr().out
     assert "finite." not in out and "product." not in out
+
+
+def test_verify_seed_overrides_the_scene_seed(capsys):
+    assert run_cli("verify", "--suite", "clifford", "--seed", "7") == 0
+    assert "seed=7)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--seed", "1", "origin", "timelike"),
+    ("distance", "internal", "origin", "timelike", "--seed", "1"),
+    ("reachable", "origin", "--t", "2.0", "--x", "0.5", "--seed", "1"),
+    ("scan", "origin", "--nt", "3", "--nx", "3", "--seed", "1"),
+])
+def test_seed_is_a_usage_error_outside_verify(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_entry_point_runs_as_module():
