@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scene", help="scene JSON file (default: built-in scene)")
-        p.add_argument("--out", help="CSV output path")
 
     p_check = sub.add_parser("check", help="decide whether two named states are causally related")
     common(p_check)
@@ -205,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("distance", help="internal, lorentzian, or functional distance")
     common(p_dist)
+    p_dist.add_argument("--out", help="CSV output path")
     p_dist.add_argument("kind", choices=("internal", "lorentzian", "functional"))
     p_dist.add_argument("name1")
     p_dist.add_argument("name2")
@@ -219,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="reachable-longitude CSV over an event grid")
     common(p_scan)
+    p_scan.add_argument("--out", help="CSV output path")
     p_scan.add_argument("name")
     p_scan.add_argument("--t-min", type=float, dest="t_min")
     p_scan.add_argument("--t-max", type=float, dest="t_max")
@@ -230,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     common(p_verify)
+    p_verify.add_argument("--out", help="CSV output path")
     p_verify.add_argument("--seed", type=int, help="override the scene seed")
     p_verify.add_argument(
         "--suite", default="all", choices=("all",) + SUITE_NAMES

@@ -2,9 +2,13 @@
 
 Implements the three-condition causal predicate (base order, shared parallel
 of latitude, internal angular motion within the proper-time budget), reachable
-longitude arcs, a curve-based oracle over the product metric, the pointwise
-4x4 operator symbol for matrix-valued elements, and a separating-element
-search certifying non-causality against the operator cone.
+longitude arcs, a curve-based oracle over the product metric, the 4x4
+operator symbol of matrix-valued elements, and a separating-element search
+certifying non-causality against the operator cone.
+
+Every symbol comes from one batched assembly: a real combination of twelve
+constant Hermitian blocks, weighted by the Pauli coordinates of the element's
+value and gradient at each event.
 """
 
 from __future__ import annotations
@@ -39,6 +43,45 @@ SPEED_SLACK = 1e-12
 NSD_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
+_PAULI_NAMES = ("id", "sz", "sx", "sy")
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]],
+    dtype=complex,
+)
+_PAULI.setflags(write=False)
+
+
+def _symbol_blocks(df: FiniteDirac) -> np.ndarray:
+    """The constant Hermitian blocks A_j = -I (x) H_j, B_j = gamma_m (x) H_j and
+    C_j = -i gamma1 (x) [D, H_j] of the Pauli basis H_j, shape (3, 4, 4, 4).
+
+    They are j[D, a] = (i gamma0 (x) I)(-i gamma0 (x) da/dt - i gamma1 (x) da/dx
+    + gamma_m (x) [D, a]) multiplied out for a = H_j: i gamma0 times -i gamma0,
+    -i gamma1 and gamma_m gives -I, gamma_m and -i gamma1.
+    """
+    b = standard_basis()
+    d = df.matrix()
+    blocks = [
+        [-np.kron(np.eye(2), h) for h in _PAULI],
+        [np.kron(b.gamma_m, h) for h in _PAULI],
+        [np.kron(-1j * b.gamma1, d @ h - h @ d) for h in _PAULI],
+    ]
+    return ensure_hermitian(np.array(blocks))
+
+
+def _assemble_symbols(
+    coef_t: np.ndarray, coef_x: np.ndarray, coef_v: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """Symbols sum_j coef_t[j] A_j + coef_x[j] B_j + coef_v[j] C_j of shape
+    (..., 4, 4) from the Pauli coordinates of da/dt, da/dx and a, (..., 4)
+    each. Real coordinates of Hermitian blocks give Hermitian symbols."""
+    a_blocks, b_blocks, c_blocks = blocks
+    return (
+        np.einsum("...j,jab->...ab", coef_t, a_blocks)
+        + np.einsum("...j,jab->...ab", coef_x, b_blocks)
+        + np.einsum("...j,jab->...ab", coef_v, c_blocks)
+    )
+
 
 @dataclass(frozen=True)
 class ProductState:
@@ -70,27 +113,18 @@ def product_symbol(
     da_dx: np.ndarray,
     df: FiniteDirac,
 ) -> np.ndarray:
-    """Pointwise 4x4 symbol j[D, a] of a matrix-valued element.
+    """Pointwise 4x4 symbol j[D, a] of a matrix-valued element from its value
+    and gradient; stacks of shape (..., 2, 2) give symbols of shape (..., 4, 4).
 
-    Assembled by Kronecker products as
-    (i*gamma0 (x) I) @ (-i*gamma0 (x) da/dt - i*gamma1 (x) da/dx
-                        + gamma_m (x) [D_F, a]).
-    The commutator [D_F, a] is anti-Hermitian, compensated by the i*gamma0 *
-    gamma_m factor, so the result is Hermitian.
+    Each (validated Hermitian) input is expanded in Pauli coordinates
+    0.5 tr(m H_j) and the symbol assembled from the constant blocks of
+    :func:`_symbol_blocks`.
     """
-    a = ensure_hermitian(a_val)
-    at = ensure_hermitian(da_dt)
-    ax = ensure_hermitian(da_dx)
-    b = standard_basis()
-    d = df.matrix()
-    comm = d @ a - a @ d
-    i2 = np.eye(2)
-    m = np.kron(1j * b.gamma0, i2) @ (
-        np.kron(-1j * b.gamma0, at)
-        + np.kron(-1j * b.gamma1, ax)
-        + np.kron(b.gamma_m, comm)
+    at, ax, a = (
+        0.5 * np.einsum("...ab,jba->...j", ensure_hermitian(m), _PAULI).real
+        for m in (da_dt, da_dx, a_val)
     )
-    return ensure_hermitian(m)
+    return _assemble_symbols(at, ax, a, _symbol_blocks(df))
 
 
 class NotRelatedReason(Enum):
@@ -319,14 +353,6 @@ def curve_oracle(
 # Separating elements: dictionary, cone certification, and the search
 # --------------------------------------------------------------------------
 
-_PAULI_NAMES = ("id", "sz", "sx", "sy")
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-)
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -378,39 +404,36 @@ def _bump_profile(tc: float, xc: float, width: float) -> Profile:
 
 @dataclass(frozen=True, eq=False)
 class ElementDictionary:
-    """Profiles times the Hermitian matrix basis (id, sz, sx, sy)."""
+    """Profiles times the Pauli basis (id, sz, sx, sy); atom k is profile
+    k // 4 times Pauli matrix k % 4."""
 
     profiles: tuple[Profile, ...]
-    matrices: tuple[np.ndarray, ...] = _PAULI
-    matrix_names: tuple[str, ...] = _PAULI_NAMES
 
     @property
     def size(self) -> int:
-        return len(self.profiles) * len(self.matrices)
+        return len(self.profiles) * len(_PAULI)
 
     def atom(self, k: int) -> tuple[Profile, np.ndarray]:
-        i, j = divmod(k, len(self.matrices))
-        return self.profiles[i], self.matrices[j]
+        i, j = divmod(k, len(_PAULI))
+        return self.profiles[i], _PAULI[j]
 
     def atom_name(self, k: int) -> str:
-        i, j = divmod(k, len(self.matrices))
-        return f"{self.profiles[i].name}*{self.matrix_names[j]}"
+        i, j = divmod(k, len(_PAULI))
+        return f"{self.profiles[i].name}*{_PAULI_NAMES[j]}"
 
 
-DEFAULT_BETA_GRID = (0.0, 0.75, -0.75, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
+BETA_GRID = (0.0, 0.75, -0.75, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
 
 
-def default_dictionary(
-    p: Event, q: Event, beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
-) -> ElementDictionary:
-    """Profiles: the constant, tanh of boosted time coordinates, and bumps
-    centered between the two events."""
+def default_dictionary(p: Event, q: Event) -> ElementDictionary:
+    """Profiles: the constant, tanh of boosted time coordinates (rapidities
+    ``BETA_GRID``), and bumps centered between the two events."""
     sep = math.hypot(q.t - p.t, q.x - p.x)
     width = max(sep, 1.0)
     tc, xc = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
     profiles = (
         [_const_profile()]
-        + [_boost_tanh_profile(b, tc, xc) for b in beta_grid]
+        + [_boost_tanh_profile(b, tc, xc) for b in BETA_GRID]
         + [_bump_profile(tc, xc, width), _bump_profile(tc, xc, 0.5 * width)]
     )
     return ElementDictionary(profiles=tuple(profiles))
@@ -442,33 +465,15 @@ class CausalElement:
             out += c * prof.value(e) * mat
         return out
 
-    def gradients_at(self, e: Event) -> tuple[np.ndarray, np.ndarray]:
-        gt = np.zeros((2, 2), dtype=complex)
-        gx = np.zeros((2, 2), dtype=complex)
-        for k, c in enumerate(self.coefficients):
-            if c == 0.0:
-                continue
-            prof, mat = self.dictionary.atom(k)
-            ut, ux = prof.gradient(e)
-            gt += c * ut * mat
-            gx += c * ux * mat
-        return gt, gx
-
-    def symbol_at(self, e: Event, df: FiniteDirac) -> np.ndarray:
-        gt, gx = self.gradients_at(e)
-        return product_symbol(self.value_at(e), gt, gx, df)
-
     def max_symbol_eigenvalue(self, grid: Grid, df: FiniteDirac) -> float:
-        worst = -math.inf
-        for e in grid.events():
-            lam = float(np.linalg.eigvalsh(self.symbol_at(e, df))[-1])
-            worst = max(worst, lam)
-        return worst
+        """Largest eigenvalue of the symbol over all grid events."""
+        tables = _dictionary_tables(self.dictionary, grid.events())
+        return _max_eigenvalue(self.coefficients, tables, _symbol_blocks(df))
 
-    def is_certified(self, grid: Grid, df: FiniteDirac, tol: float = NSD_TOL) -> bool:
+    def is_certified(self, grid: Grid, df: FiniteDirac) -> bool:
         """Membership certificate for the operator cone: the symbol is negative
-        semidefinite at every grid point."""
-        return self.max_symbol_eigenvalue(grid, df) <= tol
+        semidefinite (within ``NSD_TOL``) at every grid point."""
+        return self.max_symbol_eigenvalue(grid, df) <= NSD_TOL
 
     def eval_state(self, w: ProductState) -> float:
         return state_eval(w.internal, self.value_at(w.event))
@@ -482,16 +487,11 @@ class CausalElement:
         return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    """Controls for the separating-element search."""
-
-    seed: int = 42
-    iterations: int = 120
-    penalty_weights: tuple[float, ...] = (1e3, 1e5)
-    step: float = 0.05
-    nsd_tol: float = NSD_TOL
-    witness_tol: float = 1e-6
+SEARCH_SEED = 42
+SEARCH_ITERATIONS = 120
+PENALTY_WEIGHTS = (1e3, 1e5)
+SEARCH_STEP = 0.05
+WITNESS_TOL = 1e-6
 
 
 def _dictionary_tables(
@@ -508,41 +508,24 @@ def _dictionary_tables(
     return u, ut, ux
 
 
-def _symbol_blocks(
-    dictionary: ElementDictionary, df: FiniteDirac
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant 4x4 blocks so the symbol of sum c_k u_k H_k at an event is
-    sum_j (dt-coef) A_j + (dx-coef) B_j + (value-coef) C_j."""
-    b = standard_basis()
-    i2 = np.eye(2)
-    d = df.matrix()
-    a_blocks, b_blocks, c_blocks = [], [], []
-    for h in dictionary.matrices:
-        comm = d @ h - h @ d
-        a_blocks.append(-np.kron(i2, h))
-        b_blocks.append(np.kron(b.gamma_m, h))
-        c_blocks.append(np.kron(-1j * b.gamma1, comm))
-    return np.array(a_blocks), np.array(b_blocks), np.array(c_blocks)
-
-
-def _assemble_symbols(
+def _element_symbols(
     coeffs: np.ndarray,
     tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n_matrices: int,
+    blocks: np.ndarray,
 ) -> np.ndarray:
+    """Symbols of sum_k c_k u_k H_k at every tabulated event, shape (n_e, 4, 4)."""
     u, ut, ux = tables
-    a_blocks, b_blocks, c_blocks = blocks
-    c2 = coeffs.reshape(-1, n_matrices)
-    coef_a = ut @ c2
-    coef_b = ux @ c2
-    coef_c = u @ c2
-    s = (
-        np.einsum("ej,jab->eab", coef_a, a_blocks)
-        + np.einsum("ej,jab->eab", coef_b, b_blocks)
-        + np.einsum("ej,jab->eab", coef_c, c_blocks)
-    )
-    return 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
+    c2 = coeffs.reshape(-1, len(_PAULI))
+    return _assemble_symbols(ut @ c2, ux @ c2, u @ c2, blocks)
+
+
+def _max_eigenvalue(
+    coeffs: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    blocks: np.ndarray,
+) -> float:
+    symbols = _element_symbols(coeffs, tables, blocks)
+    return float(np.max(np.linalg.eigvalsh(symbols)[:, -1]))
 
 
 def separating_element_search(
@@ -551,7 +534,6 @@ def separating_element_search(
     df: FiniteDirac,
     dictionary: ElementDictionary | None = None,
     grid: Grid | None = None,
-    opts: SearchOptions | None = None,
 ) -> Optional[CausalElement]:
     """Search for a cone element a with w2(a) - w1(a) < -1e-6.
 
@@ -565,7 +547,6 @@ def separating_element_search(
     times the squared positive part of the largest symbol eigenvalue over the
     grid, with exact re-verification of the final candidate.
     """
-    opts = opts or SearchOptions()
     p, q = w1.event, w2.event
     if dictionary is None:
         dictionary = default_dictionary(p, q)
@@ -586,8 +567,8 @@ def separating_element_search(
 
     events = grid.events()
     tables = _dictionary_tables(dictionary, events)
-    blocks = _symbol_blocks(dictionary, df)
-    n_mat = len(dictionary.matrices)
+    blocks = _symbol_blocks(df)
+    n_mat = len(_PAULI)
     k_total = dictionary.size
 
     # objective vector: gap[k] = w2(u_k H_k) - w1(u_k H_k), linear in coefficients
@@ -598,10 +579,6 @@ def separating_element_search(
             p
         ) * state_eval(w1.internal, mat)
 
-    def exact_max_eig(c: np.ndarray) -> float:
-        s = _assemble_symbols(c, tables, blocks, n_mat)
-        return float(np.max(np.linalg.eigvalsh(s)[:, -1]))
-
     best_obj = 0.0
     best_c: Optional[np.ndarray] = None
 
@@ -609,23 +586,23 @@ def separating_element_search(
     for k in range(k_total):
         for sign in (1.0, -1.0):
             obj = sign * gap[k]
-            if obj >= -opts.witness_tol or obj >= best_obj:
+            if obj >= -WITNESS_TOL or obj >= best_obj:
                 continue
             c = np.zeros(k_total)
             c[k] = sign
-            if exact_max_eig(c) <= opts.nsd_tol:
+            if _max_eigenvalue(c, tables, blocks) <= NSD_TOL:
                 best_obj = obj
                 best_c = c
 
     # pass 2: penalty method over the full coefficient box
     if best_c is None:
-        abc = np.concatenate(blocks)  # (3 * n_mat, 4, 4) stacked for quad forms
+        abc = blocks.reshape(-1, 4, 4)  # (3 * n_mat, 4, 4) stacked for quad forms
         u, ut, ux = tables
-        rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(SEARCH_SEED)
         c = 0.01 * rng.standard_normal(k_total)
-        for weight in opts.penalty_weights:
-            for it in range(opts.iterations):
-                s = _assemble_symbols(c, tables, blocks, n_mat)
+        for weight in PENALTY_WEIGHTS:
+            for it in range(SEARCH_ITERATIONS):
+                s = _element_symbols(c, tables, blocks)
                 lam = np.linalg.eigvalsh(s)[:, -1]
                 grad = gap.copy()
                 active = np.nonzero(lam > 0.0)[0]
@@ -644,9 +621,13 @@ def separating_element_search(
                         ut[active].T @ qa + ux[active].T @ qb + u[active].T @ qc
                     )
                     grad += contrib.ravel()
-                c = np.clip(c - opts.step / math.sqrt(1.0 + it) * grad, -1.0, 1.0)
+                c = np.clip(c - SEARCH_STEP / math.sqrt(1.0 + it) * grad, -1.0, 1.0)
         obj = float(gap @ c)
-        if obj < -opts.witness_tol and obj < best_obj and exact_max_eig(c) <= opts.nsd_tol:
+        if (
+            obj < -WITNESS_TOL
+            and obj < best_obj
+            and _max_eigenvalue(c, tables, blocks) <= NSD_TOL
+        ):
             best_obj = obj
             best_c = c
 

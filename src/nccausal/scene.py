@@ -97,7 +97,7 @@ class Scene:
                     int(grid_raw.get("n_t", 101)),
                     int(grid_raw.get("n_x", 101)),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SceneError(f"invalid grid block: {exc}") from exc
 
         legacy = data.get("optimizer", {})

@@ -1,8 +1,10 @@
 """Product-state causal predicate, reachable arcs, curve oracle, operator
 symbol, and the separating-element search.
 
-Kronecker expectations are assembled from literal matrices in this file, and
-the predicate is cross-checked against the curve oracle on mixed random pairs.
+Kronecker expectations are assembled from literal matrices in this file
+(``reference_symbol`` is the independent oracle for the library's block
+assembly), and the predicate is cross-checked against the curve oracle on
+mixed random pairs.
 """
 
 import math
@@ -47,6 +49,24 @@ GM = G0 @ G1
 
 def equator(theta):
     return state_on_parallel(0.0, theta)
+
+
+def reference_symbol(a, at, ax, df):
+    """j[D, a] multiplied out from literal Kronecker products:
+    (i g0 (x) I)(-i g0 (x) da/dt - i g1 (x) da/dx + gm (x) [D, a])."""
+    d = df.matrix()
+    return np.kron(1j * G0, I2) @ (
+        np.kron(-1j * G0, at) + np.kron(-1j * G1, ax) + np.kron(GM, d @ a - a @ d)
+    )
+
+
+def random_hermitian(rng, size=()):
+    diag = rng.uniform(-2, 2, size + (2,))
+    off = rng.uniform(-2, 2, size) + 1j * rng.uniform(-2, 2, size)
+    m = np.zeros(size + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1] = diag[..., 0], diag[..., 1]
+    m[..., 1, 0], m[..., 0, 1] = off, off.conj()
+    return m
 
 
 def test_speed_bound_examples():
@@ -98,6 +118,48 @@ def test_product_symbol_commutator_term_is_hermitian():
     assert np.max(np.abs(comm + comm.conj().T)) == 0.0
     oracle = np.kron(-1j * G1, comm)
     assert np.max(np.abs(sym - oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("df", [FiniteDirac(1.0, 2.0), FiniteDirac(0.5, -1.5)])
+def test_product_symbol_matches_kronecker_reference(df):
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        a, at, ax = (random_hermitian(rng) for _ in range(3))
+        sym = product_symbol(a, at, ax, df)
+        assert np.max(np.abs(sym - reference_symbol(a, at, ax, df))) <= 1e-12
+
+
+def test_product_symbol_stack_matches_single_calls():
+    df = FiniteDirac(1.0, 2.0)
+    rng = np.random.default_rng(26)
+    a, at, ax = (random_hermitian(rng, (7,)) for _ in range(3))
+    stack = product_symbol(a, at, ax, df)
+    assert stack.shape == (7, 4, 4)
+    for i in range(7):
+        single = product_symbol(a[i], at[i], ax[i], df)
+        assert np.array_equal(stack[i], single)
+        assert np.max(np.abs(single - reference_symbol(a[i], at[i], ax[i], df))) <= 1e-12
+
+
+def test_max_symbol_eigenvalue_matches_per_event_reference():
+    df = FiniteDirac(1.0, 2.0)
+    rng = np.random.default_rng(27)
+    dictionary = default_dictionary(E(0, 0), E(2, 0.5))
+    grid = Grid(-3.0, 5.0, -3.0, 3.5, 9, 9)
+    for _ in range(20):
+        element = CausalElement(dictionary, rng.uniform(-1, 1, dictionary.size))
+        worst = -math.inf
+        for e in grid.events():
+            gt = np.zeros((2, 2), dtype=complex)
+            gx = np.zeros((2, 2), dtype=complex)
+            for k, c in enumerate(element.coefficients):
+                prof, mat = dictionary.atom(k)
+                ut, ux = prof.gradient(e)
+                gt += c * ut * mat
+                gx += c * ux * mat
+            sym = reference_symbol(element.value_at(e), gt, gx, df)
+            worst = max(worst, float(np.linalg.eigvalsh(sym)[-1]))
+        assert abs(element.max_symbol_eigenvalue(grid, df) - worst) <= 1e-12
 
 
 def test_product_symbol_rejects_non_hermitian_input():

@@ -111,6 +111,19 @@ def test_degenerate_scene_file_exit_two(tmp_path, capsys):
     assert run_cli("check", "--scene", str(path), "origin", "timelike") == 2
 
 
+@pytest.mark.parametrize("key, literal", [("n_t", "Infinity"), ("n_x", "1e400")])
+def test_scene_grid_overflow_is_an_input_error(key, literal, tmp_path, capsys):
+    data = default_scene().to_dict()
+    data["grid"][key] = "HUGE"
+    text = json.dumps(data).replace('"HUGE"', literal)
+    with pytest.raises(SceneError):
+        Scene.from_json(text)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run_cli("check", "--scene", str(path), "origin", "timelike") == 2
+    assert "invalid grid block" in capsys.readouterr().err
+
+
 def test_distance_internal_report(capsys):
     assert run_cli("distance", "internal", "origin", "fast_rotation") == 0
     out = capsys.readouterr().out
@@ -221,6 +234,19 @@ def test_seed_is_a_usage_error_outside_verify(argv, capsys):
         run_cli(*argv)
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--out", "x.csv", "origin", "timelike"),
+    ("reachable", "origin", "--t", "2.0", "--x", "0.5", "--out", "x.csv"),
+])
+def test_out_is_a_usage_error_where_nothing_is_written(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_entry_point_runs_as_module():
