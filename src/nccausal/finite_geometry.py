@@ -70,9 +70,19 @@ def _state_vector(s: InternalState) -> np.ndarray:
 
 def make_state(v) -> InternalState:
     """Normalize and phase-fix a C^2 vector, computing Bloch coordinates
-    x = 2 Re(conj(xi1) xi2), y = 2 Im(conj(xi1) xi2), z = |xi1|^2 - |xi2|^2."""
+    x = 2 Re(conj(xi1) xi2), y = 2 Im(conj(xi1) xi2), z = |xi1|^2 - |xi2|^2.
+
+    Raises ValueError on non-finite components. Finite components whose
+    squares overflow are first scaled down by the largest of their real and
+    imaginary magnitudes."""
     arr = np.asarray(v, dtype=complex).reshape(2)
-    norm = float(np.linalg.norm(arr))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("state components must be finite")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not math.isfinite(norm):
+        arr = arr / np.max(np.abs([arr.real, arr.imag]))
+        norm = float(np.linalg.norm(arr))
     if norm <= _NORM_FLOOR:
         raise ZeroVector(f"cannot normalize a vector of norm {norm:.3e}")
     # idempotent on canonical input: skip the no-op steps so a state survives
@@ -248,7 +258,6 @@ class RotatedDirac:
 
     matrix: np.ndarray
     unitary: np.ndarray
-    note: str
 
     def map_state(self, s: InternalState) -> InternalState:
         return make_state(self.unitary @ _state_vector(s))
@@ -263,11 +272,7 @@ def unitary_conjugate(df: FiniteDirac, u: np.ndarray) -> RotatedDirac:
     if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-12:
         raise NotUnitary("conjugation requires a 2x2 unitary matrix (tol 1e-12)")
     matrix = u @ df.matrix() @ u.conj().T
-    return RotatedDirac(
-        matrix=matrix,
-        unitary=u,
-        note="states transform as xi -> u xi; all distances are invariant",
-    )
+    return RotatedDirac(matrix=matrix, unitary=u)
 
 
 def spectral_distance_general(

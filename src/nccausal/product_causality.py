@@ -34,7 +34,7 @@ from .finite_geometry import (
 from .spacetime import (
     Event,
     Grid,
-    _ascend_proper_time,
+    _chord,
     causally_precedes,
     lorentzian_distance,
 )
@@ -311,14 +311,15 @@ def curve_oracle(
     df: FiniteDirac,
     n_segments: int = 6,
     *,
-    seed: int = 42,
     slack: float = 1e-3,
 ) -> bool:
-    """Brute-force search for a product curve from w1 to w2.
+    """Curve-based test for a product curve from w1 to w2.
 
-    Maximizes base proper time over discretized causal curves, then checks
-    whether some angular displacement (winding k in {-1, 0, 1}) fits within
-    the speed bound times that proper time, up to the discretization slack.
+    Takes the base chord from p to q in ``n_segments`` pieces, which has the
+    maximal proper time, then checks whether some angular displacement
+    (winding k in {-1, 0, 1}) fits within the speed bound times that proper
+    time, up to the slack. When it fits, the chord is lifted to an explicit
+    product curve, which must pass :meth:`ProductCurve.validate`.
     Independent of :func:`causally_related`, against which it is compared in
     the test suite.
     """
@@ -327,12 +328,7 @@ def curve_oracle(
         return False
     if abs(latitude(w1.internal) - latitude(w2.internal)) > LATITUDE_TOL:
         return False  # internal motion is confined to one parallel
-    if p.t == q.t and p.x == q.x:
-        tau, base_vertices = 0.0, [p, q]
-    else:
-        tau, base_vertices = _ascend_proper_time(
-            p, q, n_segments, seed=seed, n_starts=2
-        )
+    tau, base_vertices = _chord(p, q, n_segments)
     budget = speed_bound(df) * tau
     if is_pole(w1.internal) or is_pole(w2.internal):
         return True  # same pole within tolerance: constant internal leg
@@ -602,14 +598,13 @@ def separating_element_search(
         c = 0.01 * rng.standard_normal(k_total)
         for weight in PENALTY_WEIGHTS:
             for it in range(SEARCH_ITERATIONS):
-                s = _element_symbols(c, tables, blocks)
-                lam = np.linalg.eigvalsh(s)[:, -1]
+                vals, vecs = np.linalg.eigh(_element_symbols(c, tables, blocks))
+                lam = vals[:, -1]
                 grad = gap.copy()
                 active = np.nonzero(lam > 0.0)[0]
                 if active.size:
-                    # top eigenvectors only where the penalty is live
-                    _, vecs = np.linalg.eigh(s[active])
-                    tops = vecs[:, :, -1]
+                    # top eigenvectors where the penalty is live
+                    tops = vecs[active, :, -1]
                     quads = np.einsum(
                         "ea,mab,eb->em", tops.conj(), abc, tops
                     ).real  # (n_active, 3 * n_mat)

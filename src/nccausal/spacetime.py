@@ -1,6 +1,11 @@
 """2D Minkowski causality: events, causal order, proper time along
 piecewise-linear curves, grid-based causal/steep function predicates, and the
 distance functional evaluated over the boost family of steep functions.
+
+Both extremal problems have closed forms on the plane: the straight chord
+maximizes proper time over causal curves (reverse triangle inequality), and
+the boost family's infimum sits at the rapidity beta* = 0.5 ln(v/u), with
+u = dt + dx and v = dt - dx. The searches that check them live in the tests.
 """
 
 from __future__ import annotations
@@ -86,115 +91,39 @@ def proper_time(curve: Curve) -> float:
     return total
 
 
-def _chord_vertices(p: Event, q: Event, n: int) -> list[Event]:
-    return [
-        Event(p.t + (q.t - p.t) * k / n, p.x + (q.x - p.x) * k / n)
-        for k in range(n + 1)
-    ]
+def _chord(p: Event, q: Event, n_segments: int) -> tuple[float, list[Event]]:
+    """Proper time and vertices of the straight chord from p to q cut into
+    ``n_segments`` equal pieces.
 
-
-def _random_causal_vertices(
-    p: Event, q: Event, n: int, rng: np.random.Generator
-) -> list[Event]:
-    """Sample interior vertices sequentially inside cone(previous) & past(q)."""
-    verts = [p]
-    cur = p
-    for _ in range(n - 1):
-        t = float(rng.uniform(cur.t, q.t))
-        lo = max(cur.x - (t - cur.t), q.x - (q.t - t))
-        hi = min(cur.x + (t - cur.t), q.x + (q.t - t))
-        x = float(rng.uniform(lo, hi)) if hi > lo else lo
-        cur = Event(t, x)
-        verts.append(cur)
-    verts.append(q)
-    return verts
-
-
-_COMPASS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _compass_ascent(verts: list[Event], scale: float) -> tuple[float, list[Event]]:
-    """Coordinate ascent on interior vertices with a shrinking compass step."""
-    n = len(verts) - 1
-    seg = [_segment_tau(verts[i], verts[i + 1]) for i in range(n)]
-    if any(s is None for s in seg):
-        return -math.inf, verts
-    step = 0.25 * scale
-    floor = 1e-7 * scale
-    sweeps = 0
-    while step > floor and sweeps < 600:
-        sweeps += 1
-        improved = False
-        for i in range(1, n):
-            base = seg[i - 1] + seg[i]
-            best_gain = 1e-15
-            best = None
-            for ut, ux in _COMPASS:
-                cand = Event(verts[i].t + step * ut, verts[i].x + step * ux)
-                left = _segment_tau(verts[i - 1], cand)
-                if left is None:
-                    continue
-                right = _segment_tau(cand, verts[i + 1])
-                if right is None:
-                    continue
-                gain = left + right - base
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (cand, left, right)
-            if best is not None:
-                verts[i] = best[0]
-                seg[i - 1] = best[1]
-                seg[i] = best[2]
-                improved = True
-        if not improved:
-            step *= 0.5
-    return sum(seg), verts
-
-
-def _ascend_proper_time(
-    p: Event, q: Event, n_segments: int, *, seed: int = 42, n_starts: int = 4
-) -> tuple[float, list[Event]]:
+    A piece that rounding puts outside the cone (only possible for pairs
+    within a few ulps of it) makes the chord fall back to the single segment
+    [p, q], which is causal and has the same proper time.
+    """
     if n_segments < 1:
         raise ValueError("n_segments must be at least 1")
     if not causally_precedes(p, q):
         raise NotCausallyRelated(f"no causal curve from {p} to {q}")
     if p.t == q.t and p.x == q.x:
         return 0.0, [p, q]
-    if n_segments == 1:
-        tau = _segment_tau(p, q)
-        return (tau if tau is not None else 0.0), [p, q]
-    scale = max(q.t - p.t, abs(q.x - p.x), 1.0)
-    rng = np.random.default_rng(seed)
-    best_val = -math.inf
-    best_curve: list[Event] = []
-    for start in range(max(1, n_starts)):
-        if start == 0:
-            verts = _chord_vertices(p, q, n_segments)
-        else:
-            verts = _random_causal_vertices(p, q, n_segments, rng)
-            if any(
-                _segment_tau(verts[i], verts[i + 1]) is None
-                for i in range(len(verts) - 1)
-            ):
-                verts = _chord_vertices(p, q, n_segments)
-        val, verts = _compass_ascent(verts, scale)
-        if val > best_val:
-            best_val = val
-            best_curve = verts
-    return best_val, best_curve
+    dt, dx = q.t - p.t, q.x - p.x
+    n = n_segments
+    verts = [Event(p.t + dt * k / n, p.x + dx * k / n) for k in range(n)] + [q]
+    seg = [_segment_tau(verts[i], verts[i + 1]) for i in range(n)]
+    if None in seg:
+        verts, seg = [p, q], [_segment_tau(p, q)]
+    return sum(seg), verts
 
 
-def max_proper_time(
-    p: Event, q: Event, n_segments: int, *, seed: int = 42, n_starts: int = 4
-) -> float:
-    """Maximal proper time over discretized causal curves from p to q with
-    ``n_segments`` pieces (seeded multi-start coordinate ascent).
+def max_proper_time(p: Event, q: Event, n_segments: int) -> float:
+    """Maximal proper time over causal curves from p to q with ``n_segments``
+    linear pieces.
 
-    Converges to the Lorentzian distance from below; the brute-force oracle
-    for it.
+    The straight chord attains it: by the reverse triangle inequality no
+    causal curve from p to q is longer than sqrt(dt^2 - dx^2). The value is
+    the chord's proper time summed piece by piece; the search over bent
+    curves that checks it lives in the tests.
     """
-    value, _ = _ascend_proper_time(p, q, n_segments, seed=seed, n_starts=n_starts)
-    return value
+    return _chord(p, q, n_segments)[0]
 
 
 @dataclass(frozen=True)
@@ -382,130 +311,52 @@ def _boost_gain(u: float, v: float, beta: float) -> float:
     return 0.5 * (u * math.exp(beta) + v * math.exp(-beta))
 
 
-def default_boost_grid(span: float = 6.0, points: int = 49) -> list[float]:
-    """Symmetric rapidity grid used by the distance functional."""
-    return [float(b) for b in np.linspace(-span, span, points)]
+def _boost_rapidity(u: float, v: float) -> float:
+    """Rapidity of the boost member with the smallest gain, clamped to
+    |beta| <= BOOST_CAP.
 
-
-def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimum value of a unimodal function on [lo, hi]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    best = min(fc, fd)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-        best = min(best, fc, fd)
-    return best
-
-
-def _boost_infimum(gain: Callable[[float], float], grid: list[float]) -> float:
-    """Minimum of ``gain`` over the rapidities: coarse ``grid`` first, then
-    golden section on the bracket around the coarse minimum. A minimum on the
-    grid boundary is re-bracketed by a downhill walk with doubling steps,
-    capped at |beta| = BOOST_CAP. Values at or below zero end the search
-    with 0."""
-    n = len(grid)
-    values = [gain(b) for b in grid]
-    best = min(values)
-    if best <= 0.0:
-        return 0.0
-    i = values.index(best)
-
-    if 0 < i < n - 1:
-        lo, hi = grid[i - 1], grid[i + 1]
+    For a strictly future-timelike pair (u > 0 and v > 0) the gain
+    0.5 * (u e^beta + v e^-beta) is least at beta* = 0.5 * ln(v / u), where it
+    equals sqrt(u v). Otherwise the infimum is reached or approached at the
+    cap on the side where the gain falls (at beta = 0 when neither does): for
+    an exactly null pair the gain there is about u e^-60 or v e^-60, far below
+    every tolerance in use, and for every other pair it is at most zero.
+    """
+    if u > 0.0 and v > 0.0:
+        beta = 0.5 * (math.log(v) - math.log(u))
+    elif u > 0.0:
+        beta = -math.inf
+    elif v > 0.0:
+        beta = math.inf
     else:
-        # minimum on the sampled boundary: walk downhill with doubling steps
-        step = max(grid[1] - grid[0], 0.5) if n > 1 else 1.0
-        if n > 1:
-            direction = -1.0 if i == 0 else 1.0
-            inner = grid[1] if i == 0 else grid[n - 2]
-        else:
-            left, right = gain(grid[0] - step), gain(grid[0] + step)
-            if min(left, right) <= 0.0:
-                return 0.0
-            if left >= best and right >= best:
-                lo, hi = grid[0] - step, grid[0] + step
-                refined = _golden_section(gain, lo, hi)
-                return max(0.0, min(best, refined))
-            direction = -1.0 if left < right else 1.0
-            inner = grid[0] - direction * step
-            best = min(best, left, right)
-        beta, val = grid[i], values[i]
-        bracket = None
-        while True:
-            nxt = beta + direction * step
-            if abs(nxt) > BOOST_CAP:
-                break
-            nval = gain(nxt)
-            if nval <= 0.0:
-                return 0.0
-            if nval >= val:
-                # downhill run turned around: minimum lies between nxt and inner
-                bracket = (nxt, inner) if direction < 0 else (inner, nxt)
-                break
-            inner, beta, val = beta, nxt, nval
-            step *= 2.0
-        if bracket is None:
-            # monotone tail (lightlike direction): infimum approached at the cap
-            return max(0.0, min(val, gain(direction * BOOST_CAP)))
-        lo, hi = bracket
-
-    refined = _golden_section(gain, lo, hi)
-    return max(0.0, min(best, refined))
+        beta = 0.0
+    return min(max(beta, -BOOST_CAP), BOOST_CAP)
 
 
-def lorentz_distance_functional(
-    p: Event, q: Event, boost_grid: list[float] | None = None
-) -> float:
+def lorentz_distance_functional(p: Event, q: Event) -> float:
     """Distance functional inf over steep f of max(0, f(q) - f(p)), evaluated
     on the boost family t cosh(beta) + x sinh(beta).
 
-    Each rapidity is evaluated with plain float arithmetic in light-cone form,
-    0.5 * ((dt + dx) e^beta + (dt - dx) e^-beta), whose terms never cancel
-    for a causal pair, so near-null pairs keep full relative accuracy. The
-    coarse grid minimum is refined by golden section to an interval of 1e-10;
-    boundary minima are re-bracketed by doubling steps, capped at |beta| = 60
-    (where the boost family's values are far below every tolerance in use).
-    An exactly null pair (dt + dx == 0 or dt - dx == 0) gives exactly 0, the
-    limit that the capped search only approaches.
+    The infimum over the family is taken in closed form: with u = dt + dx and
+    v = dt - dx, the gain is least at beta* = 0.5 * ln(v / u) (clamped to
+    |beta| <= BOOST_CAP), where the light-cone form
+    0.5 * (u e^beta + v e^-beta) equals sqrt(u v) and its two terms never
+    cancel, so near-null pairs keep full relative accuracy. Every pair that
+    is not strictly future-timelike gives exactly 0.
 
-    Before the value is returned, every rapidity the search used is certified
-    in one batched steep certificate on a small rectangle covering both
-    events: each member's gradient is checked against central finite
-    differences at every event of the rectangle, then its steep symbol is
-    tested with the scale-relative tolerance NSD_TOL * max(1, |df/dt|).
-    On the Minkowski plane the result matches sqrt(dt^2 - dx^2) for causal
-    pairs and 0 otherwise.
+    Before the value is returned, the member at the rapidity used is
+    certified in one steep certificate on a small rectangle covering both
+    events: its gradient is checked against central finite differences at
+    every event of the rectangle, then its steep symbol is tested with the
+    scale-relative tolerance NSD_TOL * max(1, |df/dt|). The value equals that
+    member's gain, sqrt(dt^2 - dx^2) up to rounding for timelike pairs.
     """
-    if boost_grid is None:
-        boost_grid = default_boost_grid()
-    grid = sorted(float(b) for b in boost_grid)
-    if not grid:
-        raise ValueError("boost grid must be nonempty")
-    n = len(grid)
-    if any(abs(grid[i] + grid[n - 1 - i]) > 1e-12 for i in range(n)):
-        raise ValueError("boost grid must be symmetric around 0")
     dt = q.t - p.t
     dx = q.x - p.x
     u, v = dt + dx, dt - dx
-    used: list[float] = []
-
-    def gain(beta: float) -> float:
-        used.append(beta)
-        return _boost_gain(u, v, beta)
-
-    value = _boost_infimum(gain, grid)
+    beta = _boost_rapidity(u, v)
+    gain = _boost_gain(u, v, beta)
     check_grid = Grid.covering(p, q, margin=1.0, n_t=3, n_x=3)
-    if not _boost_family_is_steep(np.array(used), check_grid):
+    if not _boost_family_is_steep(np.array([beta]), check_grid):
         raise RuntimeError("boost family member failed the steep certificate")
-    return 0.0 if u == 0.0 or v == 0.0 else value
+    return gain if u > 0.0 and v > 0.0 else 0.0

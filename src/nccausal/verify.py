@@ -405,7 +405,7 @@ def verify_spacetime(seed: int) -> list[CheckResult]:
         d = lorentzian_distance(p, q)
         prev_gap = math.inf
         for n in (1, 2, 4, 8):
-            mpt = max_proper_time(p, q, n, seed=seed)
+            mpt = max_proper_time(p, q, n)
             worst_over = max(worst_over, mpt - d)
             gap = d - mpt
             worst_growth = max(worst_growth, gap - prev_gap)
@@ -530,7 +530,7 @@ def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
             if abs(verdict.delta_theta - verdict.theta_budget) < 1e-3:
                 continue  # borderline band excluded from the strict comparison
         compared += 1
-        if verdict.related != curve_oracle(w1, w2, df, n_segments=6, seed=seed):
+        if verdict.related != curve_oracle(w1, w2, df, n_segments=6):
             disagreements += 1
     results.append(
         CheckResult("product", "oracle_agreement", disagreements == 0, disagreements)

@@ -159,7 +159,7 @@ def test_criterion_06_predicate_agrees_with_curve_oracle():
         ):
             continue  # borderline band excluded
         compared += 1
-        if verdict.related != curve_oracle(w1, w2, df, n_segments=6, seed=SEED):
+        if verdict.related != curve_oracle(w1, w2, df, n_segments=6):
             disagreements += 1
     report(6, "causal predicate agrees with the curve oracle on 1e3 pairs "
               "outside the 1e-3 borderline band",
@@ -282,7 +282,7 @@ def test_criterion_09_lightlike_rigidity():
            violations == 0, f"violations={violations}")
 
 
-def test_criterion_10_verify_determinism(tmp_path):
+def test_criterion_10_verify_determinism(tmp_path, subprocess_env):
     argv = ["verify", "--suite", "all", "--seed", "42", "--out"]
     sub_csv, own_csv = tmp_path / "subprocess.csv", tmp_path / "in_process.csv"
     # the subprocess runs while this process runs its own copy, so the two
@@ -291,6 +291,7 @@ def test_criterion_10_verify_determinism(tmp_path):
         [sys.executable, "-m", "nccausal", *argv, str(sub_csv)],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        env=subprocess_env,
     )
     own_code = cli_main([*argv, str(own_csv)])
     returncodes = [proc.wait(), own_code]

@@ -62,6 +62,30 @@ def test_make_state_rejects_zero_vector():
         make_state([1e-13, 1e-13])
 
 
+def test_make_state_rescales_components_whose_squares_overflow():
+    rng = np.random.default_rng(20)
+    vectors = [[SQ2, SQ2], [0.6, 0.8j], [1.0, 0.0], [0.0, -1.0]]
+    vectors += list(rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2)))
+    for v in vectors:
+        want = make_state(v)
+        for scale in (1e200, 1e300, -1e250j):
+            got = make_state(np.asarray(v) * scale)
+            assert abs(got.xi1 - want.xi1) <= 1e-15
+            assert abs(got.xi2 - want.xi2) <= 1e-15
+            assert np.allclose(got.bloch, want.bloch, rtol=0.0, atol=1e-15)
+    assert make_state([1e300, 0.0]).bloch == (0.0, 0.0, 1.0)
+    big = make_state([1.7e308 + 1.7e308j, 1.7e308])
+    assert abs(latitude(big) - 1.0 / 3.0) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "v", [[math.inf, 0.0], [0.0, -math.inf], [math.nan, 1.0], [complex(1.0, math.inf), 0.0]]
+)
+def test_make_state_rejects_non_finite_components(v):
+    with pytest.raises(ValueError):
+        make_state(v)
+
+
 def test_make_state_phase_fixing_is_canonical():
     base = make_state([0.6, 0.8j])
     assert base.xi1.imag == 0.0

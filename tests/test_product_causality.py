@@ -334,6 +334,17 @@ def test_curve_oracle_uses_minimal_arc_winding():
     assert causally_related(w1, w2, df).related
 
 
+def test_curve_oracle_near_the_light_cone():
+    # rounding puts pieces of the six-piece chord just outside the cone; the
+    # oracle still lifts a valid curve and agrees with the predicate
+    df = FiniteDirac(1.0, 2.0)
+    state = equator(0.3)
+    w1 = ProductState(E(1.879621435201635, 2.47653346366633), state)
+    w2 = ProductState(E(3.7388651849264565, 4.33577721339115), state)
+    assert causally_related(w1, w2, df).related
+    assert curve_oracle(w1, w2, df, n_segments=6)
+
+
 def test_curve_oracle_agrees_with_predicate():
     df = FiniteDirac(1.0, 2.0)
     rng = np.random.default_rng(23)
@@ -348,7 +359,7 @@ def test_curve_oracle_agrees_with_predicate():
         ):
             continue
         compared += 1
-        assert verdict.related == curve_oracle(w1, w2, df, n_segments=6, seed=23)
+        assert verdict.related == curve_oracle(w1, w2, df, n_segments=6)
     assert compared > 100
 
 

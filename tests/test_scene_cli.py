@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nccausal.cli import main
@@ -122,6 +123,26 @@ def test_scene_grid_overflow_is_an_input_error(key, literal, tmp_path, capsys):
     path.write_text(text)
     assert run_cli("check", "--scene", str(path), "origin", "timelike") == 2
     assert "invalid grid block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400"])
+def test_scene_non_finite_internal_state_is_an_input_error(literal, tmp_path, capsys):
+    data = default_scene().to_dict()
+    data["states"][0]["internal"] = [["HUGE", 0.0], [1.0, 0.0]]
+    text = json.dumps(data).replace('"HUGE"', literal)
+    with pytest.raises(SceneError):
+        Scene.from_json(text)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run_cli("check", "--scene", str(path), "origin", "timelike") == 2
+    assert "invalid state entry" in capsys.readouterr().err
+
+
+def test_scene_loads_large_finite_internal_state():
+    data = default_scene().to_dict()
+    data["states"][0]["internal"] = [[1e200, 0.0], [1e200, 0.0]]
+    internal = Scene.from_dict(data).states["origin"].internal
+    assert np.allclose(internal.bloch, (1.0, 0.0, 0.0), atol=1e-15)
 
 
 def test_distance_internal_report(capsys):
@@ -249,11 +270,12 @@ def test_out_is_a_usage_error_where_nothing_is_written(argv, tmp_path, monkeypat
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_cli_entry_point_runs_as_module():
+def test_cli_entry_point_runs_as_module(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "nccausal", "check", "origin", "timelike"],
         capture_output=True,
         text=True,
+        env=subprocess_env,
     )
     assert proc.returncode == 0
     assert "verdict: Related" in proc.stdout

@@ -1,6 +1,10 @@
 """Minkowski causality, proper time, function predicates, and the distance
-functional. Derived expectations are per-segment arithmetic or the ascent
-oracle converging to the analytic distance."""
+functional. Derived expectations are per-segment arithmetic and the analytic
+distance. The library takes both extremal problems in closed form (the
+straight chord for maximal proper time, beta* = 0.5 ln(v/u) for the boost
+infimum); the searches that check them live here: seeded random causal curves
+and compass moves of the chord's vertices never beat the chord, and a dense
+rapidity sweep never goes below the functional's value."""
 
 import math
 
@@ -18,7 +22,6 @@ from nccausal import (
     affine_field,
     boost_field,
     causally_precedes,
-    default_boost_grid,
     is_causal_function,
     is_steep_function,
     lorentz_distance_functional,
@@ -100,6 +103,83 @@ def test_max_proper_time_below_distance():
         d = lorentzian_distance(p, q)
         for n in (1, 3, 6):
             assert max_proper_time(p, q, n) <= d + 1e-9
+
+
+def test_max_proper_time_is_the_distance():
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        p, q = random_timelike_pair(rng)
+        d = lorentzian_distance(p, q)
+        for n in (1, 2, 5, 8):
+            assert abs(max_proper_time(p, q, n) - d) <= 1e-12 * max(1.0, d)
+
+
+def _random_causal_curve(p, q, n, rng):
+    """Vertices sampled one after another inside the future cone of the
+    previous vertex and the past cone of q."""
+    verts, cur = [p], p
+    for _ in range(n - 1):
+        t = float(rng.uniform(cur.t, q.t))
+        lo = max(cur.x - (t - cur.t), q.x - (q.t - t))
+        hi = min(cur.x + (t - cur.t), q.x + (q.t - t))
+        cur = Event(t, float(rng.uniform(lo, hi)) if hi > lo else lo)
+        verts.append(cur)
+    return Curve(verts + [q])
+
+
+def test_random_causal_curves_never_beat_max_proper_time():
+    rng = np.random.default_rng(17)
+    sampled = 0
+    for _ in range(20):
+        p, q = random_timelike_pair(rng)
+        d = lorentzian_distance(p, q)
+        for n in (2, 3, 6, 8):
+            best = max_proper_time(p, q, n)
+            for _ in range(25):
+                try:
+                    tau = proper_time(_random_causal_curve(p, q, n, rng))
+                except NonCausalSegment:
+                    continue  # rounding put a sampled vertex outside the cone
+                sampled += 1
+                assert tau <= best + 1e-12 * max(1.0, d)
+    assert sampled >= 1900
+
+
+COMPASS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def test_compass_moves_of_the_chord_never_beat_it():
+    rng = np.random.default_rng(18)
+    moved = 0
+    for _ in range(10):
+        p, q = random_timelike_pair(rng)
+        d = lorentzian_distance(p, q)
+        scale = max(q.t - p.t, abs(q.x - p.x), 1.0)
+        for n in (2, 4, 6):
+            best, chord = spacetime._chord(p, q, n)
+            for i in range(1, n):
+                for step in scale * 0.25 * 0.5 ** np.arange(0, 24, 3):
+                    for ut, ux in COMPASS:
+                        verts = list(chord)
+                        verts[i] = Event(verts[i].t + step * ut, verts[i].x + step * ux)
+                        try:
+                            tau = proper_time(Curve(verts))
+                        except NonCausalSegment:
+                            continue
+                        moved += 1
+                        assert tau <= best + 1e-12 * max(1.0, d)
+    assert moved >= 1000
+
+
+def test_max_proper_time_chord_near_the_light_cone():
+    # cut in six, this chord has pieces that rounding puts just outside the
+    # cone; the single segment [p, q] has the same proper time and is causal
+    p = Event(1.879621435201635, 2.47653346366633)
+    q = Event(3.7388651849264565, 4.33577721339115)
+    tau, verts = spacetime._chord(p, q, 6)
+    assert verts == [p, q]
+    assert tau == lorentzian_distance(p, q) > 0.0
+    assert max_proper_time(p, q, 6) == tau
 
 
 def test_is_causal_function_examples():
@@ -187,25 +267,76 @@ def test_functional_certifies_exactly_the_rapidities_it_evaluated(monkeypatch):
     monkeypatch.setattr(spacetime, "_boost_gain", spy_gain)
     monkeypatch.setattr(spacetime, "_check_gradients", spy_gradient_check)
     monkeypatch.setattr(spacetime, "_steep_certificate", spy_certificate)
-    cases = [
-        (E(5, 3), None),
-        (E(3.0, 2.9999999999999467), None),
-        (E(1, 1), None),
-        (E(0, 1), None),
-        (E(5, 3), [0.0]),
-    ]
-    for q, boost_grid in cases:
+    cases = [E(5, 3), E(3.0, 2.9999999999999467), E(1, 1), E(0, 1), E(-1, 0), E(0, 0)]
+    for q in cases:
         evaluated.clear()
         checked.clear()
         certified.clear()
-        lorentz_distance_functional(E(0, 0), q, boost_grid=boost_grid)
+        lorentz_distance_functional(E(0, 0), q)
         assert len(certified) == 1
         betas = np.array(evaluated)
+        assert np.all(np.abs(betas) <= spacetime.BOOST_CAP)
         gt, gx = certified[0]
-        assert len(gt) == len(betas) >= len(boost_grid or default_boost_grid())
+        assert len(gt) == len(betas) == 1
         assert set(zip(gt, gx)) == set(zip(np.cosh(betas).tolist(), np.sinh(betas).tolist()))
-        # the same members were gradient-checked at all nine rectangle events
+        # the same member was gradient-checked at all nine rectangle events
         assert checked == [(gt, gx, 9)]
+
+
+def _sweep_pairs():
+    rng = np.random.default_rng(19)
+    pairs = [(E(0, 0), E(5, 3)), (E(0, 0), E(1, 0)), (E(0, 0), E(1, 1)),
+             (E(0, 0), E(2, -2)), (E(0, 0), E(0, 1)), (E(0, 0), E(-1, 0.5)),
+             (E(-3e4, 2e4), E(7e4, -5e4)), (E(0, 0), E(3.0, 2.9999999999999467))]
+    for dt in (0.5, 3.0):
+        for k in (2, 8, 20, 40, 59):
+            for sign in (1.0, -1.0):
+                pairs.append((E(0, 0), E(dt, sign * dt * (1.0 - 10.0 ** (-k / 4)))))
+    for _ in range(10):
+        pairs.append(random_timelike_pair(rng))
+        pairs.append(random_spacelike_pair(rng))
+    return pairs
+
+
+def test_rapidity_sweep_never_goes_below_the_functional():
+    cap = spacetime.BOOST_CAP
+    for p, q in _sweep_pairs():
+        dt, dx = q.t - p.t, q.x - p.x
+        u, v = dt + dx, dt - dx
+        betas = [np.linspace(-cap, cap, 24001)]
+        if u > 0.0 and v > 0.0:
+            star = 0.5 * math.log(v / u)
+            betas.append(star + np.linspace(-1e-3, 1e-3, 2001))
+        betas = np.concatenate(betas)
+        betas = betas[np.abs(betas) <= cap]
+        sweep = np.maximum(0.0, 0.5 * (u * np.exp(betas) + v * np.exp(-betas)))
+        got = lorentz_distance_functional(p, q)
+        tau = lorentzian_distance(p, q)
+        assert float(sweep.min()) >= got - 1e-12 * max(1.0, tau), (p, q)
+
+
+def test_functional_value_is_the_gain_at_the_certified_rapidity(monkeypatch):
+    certified = []
+    family_is_steep = spacetime._boost_family_is_steep
+
+    def spy(betas, grid):
+        certified.append(betas.tolist())
+        return family_is_steep(betas, grid)
+
+    monkeypatch.setattr(spacetime, "_boost_family_is_steep", spy)
+    for p, q in _sweep_pairs():
+        certified.clear()
+        got = lorentz_distance_functional(p, q)
+        assert len(certified) == 1 and len(certified[0]) == 1
+        dt, dx = q.t - p.t, q.x - p.x
+        u, v = dt + dx, dt - dx
+        gain = spacetime._boost_gain(u, v, certified[0][0])
+        if u > 0.0 and v > 0.0:
+            assert got == gain, (p, q)
+        else:
+            # the certified member reaches (or, on the cone, all but reaches) 0
+            assert got == 0.0
+            assert gain <= 1e-20 * max(1.0, abs(dt)), (p, q)
 
 
 def test_causal_functions_form_a_convex_cone():
@@ -257,18 +388,6 @@ def test_functional_near_null_sweep():
                 tau = math.sqrt((dt - dx) * (dt + dx))
                 got = lorentz_distance_functional(E(0, 0), E(dt, dx))
                 assert abs(got - tau) <= 1e-9 * max(1.0, tau), (dt, k, sign)
-
-
-def test_functional_requires_symmetric_grid():
-    with pytest.raises(ValueError):
-        lorentz_distance_functional(E(0, 0), E(1, 0), boost_grid=[0.0, 1.0])
-    with pytest.raises(ValueError):
-        lorentz_distance_functional(E(0, 0), E(1, 0), boost_grid=[])
-
-
-def test_functional_single_point_grid_still_refines():
-    got = lorentz_distance_functional(E(0, 0), E(5, 3), boost_grid=[0.0])
-    assert abs(got - 4.0) <= 1e-9
 
 
 def test_functional_dominates_distance():
