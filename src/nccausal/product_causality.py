@@ -6,9 +6,12 @@ longitude arcs, a curve-based oracle over the product metric, the 4x4
 operator symbol of matrix-valued elements, and a separating-element search
 certifying non-causality against the operator cone.
 
-Every symbol comes from one batched assembly: a real combination of twelve
-constant Hermitian blocks, weighted by the Pauli coordinates of the element's
-value and gradient at each event.
+Every symbol comes from one batched assembly: one matrix product of the
+Pauli coordinates of the element's value and gradient at each event with
+twelve constant Hermitian blocks. The separating search scans the signed
+dictionary atoms in ascending order of their evaluation gap and returns the
+first one whose symbol is certified negative semidefinite on the grid; each
+profile is tabulated over the grid in one array call.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ _PAULI.setflags(write=False)
 
 
 def _symbol_blocks(df: FiniteDirac) -> np.ndarray:
-    """The constant Hermitian blocks A_j = -I (x) H_j, B_j = gamma_m (x) H_j and
-    C_j = -i gamma1 (x) [D, H_j] of the Pauli basis H_j, shape (3, 4, 4, 4).
+    """The constant Hermitian blocks of the Pauli basis H_j, shape (3, 4, 4, 4),
+    in the order of the coordinates they weight: -i gamma1 (x) [D, H_j] for a,
+    -I (x) H_j for da/dt and gamma_m (x) H_j for da/dx.
 
     They are j[D, a] = (i gamma0 (x) I)(-i gamma0 (x) da/dt - i gamma1 (x) da/dx
     + gamma_m (x) [D, a]) multiplied out for a = H_j: i gamma0 times -i gamma0,
@@ -62,25 +66,20 @@ def _symbol_blocks(df: FiniteDirac) -> np.ndarray:
     b = standard_basis()
     d = df.matrix()
     blocks = [
+        [np.kron(-1j * b.gamma1, d @ h - h @ d) for h in _PAULI],
         [-np.kron(np.eye(2), h) for h in _PAULI],
         [np.kron(b.gamma_m, h) for h in _PAULI],
-        [np.kron(-1j * b.gamma1, d @ h - h @ d) for h in _PAULI],
     ]
     return ensure_hermitian(np.array(blocks))
 
 
-def _assemble_symbols(
-    coef_t: np.ndarray, coef_x: np.ndarray, coef_v: np.ndarray, blocks: np.ndarray
-) -> np.ndarray:
-    """Symbols sum_j coef_t[j] A_j + coef_x[j] B_j + coef_v[j] C_j of shape
-    (..., 4, 4) from the Pauli coordinates of da/dt, da/dx and a, (..., 4)
-    each. Real coordinates of Hermitian blocks give Hermitian symbols."""
-    a_blocks, b_blocks, c_blocks = blocks
-    return (
-        np.einsum("...j,jab->...ab", coef_t, a_blocks)
-        + np.einsum("...j,jab->...ab", coef_x, b_blocks)
-        + np.einsum("...j,jab->...ab", coef_v, c_blocks)
-    )
+def _assemble_symbols(coords: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Symbols sum_ij coords[..., i, j] blocks[i, j] of shape (..., 4, 4) from
+    the Pauli coordinates (..., 3, 4) of a, da/dt and da/dx, in one matrix
+    product. Real coordinates of Hermitian blocks give Hermitian symbols."""
+    lead = coords.shape[:-2]
+    flat = coords.reshape(lead + (12,)) @ blocks.reshape(12, 16)
+    return flat.reshape(lead + (4, 4))
 
 
 @dataclass(frozen=True)
@@ -120,11 +119,14 @@ def product_symbol(
     0.5 tr(m H_j) and the symbol assembled from the constant blocks of
     :func:`_symbol_blocks`.
     """
-    at, ax, a = (
-        0.5 * np.einsum("...ab,jba->...j", ensure_hermitian(m), _PAULI).real
-        for m in (da_dt, da_dx, a_val)
+    coords = np.stack(
+        [
+            0.5 * np.einsum("...ab,jba->...j", ensure_hermitian(m), _PAULI).real
+            for m in (a_val, da_dt, da_dx)
+        ],
+        axis=-2,
     )
-    return _assemble_symbols(at, ax, a, _symbol_blocks(df))
+    return _assemble_symbols(coords, _symbol_blocks(df))
 
 
 class NotRelatedReason(Enum):
@@ -352,15 +354,20 @@ def curve_oracle(
 
 @dataclass(frozen=True)
 class Profile:
-    """Bounded smooth scalar profile with an analytic gradient."""
+    """Bounded smooth scalar profile u with its analytic gradient.
+
+    ``jet(t, x)`` returns (u, du/dt, du/dx) and works on floats and, element
+    by element, on arrays of coordinates.
+    """
 
     name: str
-    value: Callable[[Event], float]
-    gradient: Callable[[Event], tuple[float, float]]
+    jet: Callable
 
 
 def _const_profile() -> Profile:
-    return Profile("const", lambda e: 1.0, lambda e: (0.0, 0.0))
+    return Profile(
+        "const", lambda t, x: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t))
+    )
 
 
 def _boost_tanh_profile(beta: float, tc: float = 0.0, xc: float = 0.0) -> Profile:
@@ -372,30 +379,24 @@ def _boost_tanh_profile(beta: float, tc: float = 0.0, xc: float = 0.0) -> Profil
     """
     ch, sh = math.cosh(beta), math.sinh(beta)
 
-    def value(e: Event) -> float:
-        return math.tanh(ch * (e.t - tc) + sh * (e.x - xc))
-
-    def gradient(e: Event) -> tuple[float, float]:
-        u = value(e)
+    def jet(t, x):
+        u = np.tanh(ch * (t - tc) + sh * (x - xc))
         s = 1.0 - u * u
-        return (s * ch, s * sh)
+        return u, s * ch, s * sh
 
-    return Profile(f"tanh_boost[{beta:g}]@({tc:g},{xc:g})", value, gradient)
+    return Profile(f"tanh_boost[{beta:g}]@({tc:g},{xc:g})", jet)
 
 
 def _bump_profile(tc: float, xc: float, width: float) -> Profile:
     w2 = width * width
 
-    def value(e: Event) -> float:
-        dt = e.t - tc
-        dx = e.x - xc
-        return math.exp(-(dt * dt + dx * dx) / (2.0 * w2))
+    def jet(t, x):
+        dt = t - tc
+        dx = x - xc
+        u = np.exp(-(dt * dt + dx * dx) / (2.0 * w2))
+        return u, -dt / w2 * u, -dx / w2 * u
 
-    def gradient(e: Event) -> tuple[float, float]:
-        v = value(e)
-        return (-(e.t - tc) / w2 * v, -(e.x - xc) / w2 * v)
-
-    return Profile(f"bump[{tc:g},{xc:g};{width:g}]", value, gradient)
+    return Profile(f"bump[{tc:g},{xc:g};{width:g}]", jet)
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,17 +454,12 @@ class CausalElement:
         object.__setattr__(self, "coefficients", c)
 
     def value_at(self, e: Event) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=complex)
-        for k, c in enumerate(self.coefficients):
-            if c == 0.0:
-                continue
-            prof, mat = self.dictionary.atom(k)
-            out += c * prof.value(e) * mat
-        return out
+        u = _dictionary_tables(self.dictionary, e.t, e.x)[0]
+        return np.tensordot(u @ self.coefficients.reshape(-1, len(_PAULI)), _PAULI, 1)
 
     def max_symbol_eigenvalue(self, grid: Grid, df: FiniteDirac) -> float:
         """Largest eigenvalue of the symbol over all grid events."""
-        tables = _dictionary_tables(self.dictionary, grid.events())
+        tables = _dictionary_tables(self.dictionary, *grid.coordinates())
         return _max_eigenvalue(self.coefficients, tables, _symbol_blocks(df))
 
     def is_certified(self, grid: Grid, df: FiniteDirac) -> bool:
@@ -483,44 +479,23 @@ class CausalElement:
         return " ".join(parts) if parts else "0"
 
 
-SEARCH_SEED = 42
-SEARCH_ITERATIONS = 120
-PENALTY_WEIGHTS = (1e3, 1e5)
-SEARCH_STEP = 0.05
 WITNESS_TOL = 1e-6
 
 
-def _dictionary_tables(
-    dictionary: ElementDictionary, events: list[Event]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n_e, n_p = len(events), len(dictionary.profiles)
-    u = np.empty((n_e, n_p))
-    ut = np.empty((n_e, n_p))
-    ux = np.empty((n_e, n_p))
-    for j, prof in enumerate(dictionary.profiles):
-        for i, e in enumerate(events):
-            u[i, j] = prof.value(e)
-            ut[i, j], ux[i, j] = prof.gradient(e)
-    return u, ut, ux
-
-
-def _element_symbols(
-    coeffs: np.ndarray,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-    blocks: np.ndarray,
-) -> np.ndarray:
-    """Symbols of sum_k c_k u_k H_k at every tabulated event, shape (n_e, 4, 4)."""
-    u, ut, ux = tables
-    c2 = coeffs.reshape(-1, len(_PAULI))
-    return _assemble_symbols(ut @ c2, ux @ c2, u @ c2, blocks)
+def _dictionary_tables(dictionary: ElementDictionary, t, x) -> np.ndarray:
+    """Values and gradients of every profile at the events (t, x), shape
+    t.shape + (3, n_profiles) with rows u, du/dt, du/dx: one array call per
+    profile."""
+    jets = np.array([prof.jet(t, x) for prof in dictionary.profiles])
+    return np.ascontiguousarray(np.moveaxis(jets, (0, 1), (-1, -2)))
 
 
 def _max_eigenvalue(
-    coeffs: np.ndarray,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-    blocks: np.ndarray,
+    coeffs: np.ndarray, tables: np.ndarray, blocks: np.ndarray
 ) -> float:
-    symbols = _element_symbols(coeffs, tables, blocks)
+    """Largest eigenvalue of the symbol of sum_k c_k u_k H_k over the
+    tabulated events."""
+    symbols = _assemble_symbols(tables @ coeffs.reshape(-1, len(_PAULI)), blocks)
     return float(np.max(np.linalg.eigvalsh(symbols)[:, -1]))
 
 
@@ -533,15 +508,14 @@ def separating_element_search(
 ) -> Optional[CausalElement]:
     """Search for a cone element a with w2(a) - w1(a) < -1e-6.
 
-    Such an element proves the states are not causally related (a returned
-    witness is re-verified negative semidefinite pointwise on the grid before
-    being accepted). ``None`` means no witness was found within budget, which
-    by itself is inconclusive.
+    Such an element proves the states are not causally related. ``None``
+    means no signed dictionary atom is one, which by itself is inconclusive.
 
-    The search scans the signed dictionary atoms exactly, then runs a penalty
-    method on the coefficient box: minimize the evaluation gap plus a weight
-    times the squared positive part of the largest symbol eigenvalue over the
-    grid, with exact re-verification of the final candidate.
+    The candidates are the signed atoms +-u_k H_k (the extreme points of the
+    coefficient box), taken in ascending order of their evaluation gap, ties
+    in (k, +/-) order. The first whose symbol is negative semidefinite
+    (within ``NSD_TOL``) at every grid event is returned: the certified atom
+    with the most negative gap.
     """
     p, q = w1.event, w2.event
     if dictionary is None:
@@ -561,71 +535,22 @@ def separating_element_search(
                 "grid must cover both events with margin at least their separation"
             )
 
-    events = grid.events()
-    tables = _dictionary_tables(dictionary, events)
+    # gap[k] = w2(u_k H_k) - w1(u_k H_k), the objective of each atom
+    u_p, u_q = (_dictionary_tables(dictionary, e.t, e.x)[0] for e in (p, q))
+    h_1, h_2 = (
+        np.array([state_eval(w.internal, mat) for mat in _PAULI]) for w in (w1, w2)
+    )
+    gap = (u_q[:, None] * h_2 - u_p[:, None] * h_1).ravel()
+    signed = np.column_stack([gap, -gap]).ravel()  # +u_k H_k at 2k, -u_k H_k at 2k+1
+
+    tables = _dictionary_tables(dictionary, *grid.coordinates())
     blocks = _symbol_blocks(df)
-    n_mat = len(_PAULI)
-    k_total = dictionary.size
-
-    # objective vector: gap[k] = w2(u_k H_k) - w1(u_k H_k), linear in coefficients
-    gap = np.empty(k_total)
-    for k in range(k_total):
-        prof, mat = dictionary.atom(k)
-        gap[k] = prof.value(q) * state_eval(w2.internal, mat) - prof.value(
-            p
-        ) * state_eval(w1.internal, mat)
-
-    best_obj = 0.0
-    best_c: Optional[np.ndarray] = None
-
-    # pass 1: signed single atoms (the extreme points of the coefficient box)
-    for k in range(k_total):
-        for sign in (1.0, -1.0):
-            obj = sign * gap[k]
-            if obj >= -WITNESS_TOL or obj >= best_obj:
-                continue
-            c = np.zeros(k_total)
-            c[k] = sign
-            if _max_eigenvalue(c, tables, blocks) <= NSD_TOL:
-                best_obj = obj
-                best_c = c
-
-    # pass 2: penalty method over the full coefficient box
-    if best_c is None:
-        abc = blocks.reshape(-1, 4, 4)  # (3 * n_mat, 4, 4) stacked for quad forms
-        u, ut, ux = tables
-        rng = np.random.default_rng(SEARCH_SEED)
-        c = 0.01 * rng.standard_normal(k_total)
-        for weight in PENALTY_WEIGHTS:
-            for it in range(SEARCH_ITERATIONS):
-                vals, vecs = np.linalg.eigh(_element_symbols(c, tables, blocks))
-                lam = vals[:, -1]
-                grad = gap.copy()
-                active = np.nonzero(lam > 0.0)[0]
-                if active.size:
-                    # top eigenvectors where the penalty is live
-                    tops = vecs[active, :, -1]
-                    quads = np.einsum(
-                        "ea,mab,eb->em", tops.conj(), abc, tops
-                    ).real  # (n_active, 3 * n_mat)
-                    w = 2.0 * weight * lam[active]
-                    qa = w[:, None] * quads[:, :n_mat]
-                    qb = w[:, None] * quads[:, n_mat : 2 * n_mat]
-                    qc = w[:, None] * quads[:, 2 * n_mat :]
-                    contrib = (
-                        ut[active].T @ qa + ux[active].T @ qb + u[active].T @ qc
-                    )
-                    grad += contrib.ravel()
-                c = np.clip(c - SEARCH_STEP / math.sqrt(1.0 + it) * grad, -1.0, 1.0)
-        obj = float(gap @ c)
-        if (
-            obj < -WITNESS_TOL
-            and obj < best_obj
-            and _max_eigenvalue(c, tables, blocks) <= NSD_TOL
-        ):
-            best_obj = obj
-            best_c = c
-
-    if best_c is None:
-        return None
-    return CausalElement(dictionary=dictionary, coefficients=best_c)
+    for i in np.argsort(signed, kind="stable"):
+        if signed[i] >= -WITNESS_TOL:
+            break
+        k, minus = divmod(int(i), 2)
+        c = np.zeros(dictionary.size)
+        c[k] = -1.0 if minus else 1.0
+        if _max_eigenvalue(c, tables, blocks) <= NSD_TOL:
+            return CausalElement(dictionary=dictionary, coefficients=c)
+    return None

@@ -178,6 +178,11 @@ class Grid:
     def events(self) -> list[Event]:
         return [Event(t, x) for t in self.t_values() for x in self.x_values()]
 
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates (t, x) of :meth:`events`, as two flat arrays."""
+        t = np.array(self.t_values()).repeat(self.n_x)
+        return t, np.array(self.x_values() * self.n_t)
+
     def refined(self, factor: int = 2) -> "Grid":
         return Grid(
             self.t_min,
@@ -208,9 +213,11 @@ def _check_gradients(value, gt, gx, t, x) -> None:
     ``value(t, x)``, an array function of the event coordinates.
 
     All arguments broadcast together, so one call checks a whole family of
-    gradients at every event.
+    gradients at every event. The step is ``FD_STEP * max(1, |t|, |x|)`` per
+    event, so that far from the origin the difference of the two values still
+    stands well above their rounding error.
     """
-    h = FD_STEP
+    h = FD_STEP * np.maximum(1.0, np.maximum(np.abs(t), np.abs(x)))
     fdt = (value(t + h, x) - value(t - h, x)) / (2.0 * h)
     fdx = (value(t, x + h) - value(t, x - h)) / (2.0 * h)
     tol = np.maximum(1e-5, 1e-3 * np.hypot(gt, gx))
@@ -225,9 +232,8 @@ def _check_gradients(value, gt, gx, t, x) -> None:
 def _checked_gradients(f: ScalarField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Supplied gradient of f at every grid event, validated against central
     finite differences."""
-    events = grid.events()
-    t, x = np.array([(e.t, e.x) for e in events]).T
-    gt, gx = np.array([f.gradient(e) for e in events], dtype=float).T
+    t, x = grid.coordinates()
+    gt, gx = np.array([f.gradient(e) for e in grid.events()], dtype=float).T
 
     def value(ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return np.array([f.value(Event(a, b)) for a, b in zip(ts.tolist(), xs.tolist())])
@@ -292,7 +298,7 @@ def _boost_family_is_steep(betas: np.ndarray, grid: Grid) -> bool:
     central finite differences at every event of ``grid``, then certified
     steep in one batched call."""
     ct, cx = np.cosh(betas), np.sinh(betas)
-    t, x = np.array([(e.t, e.x) for e in grid.events()]).T
+    t, x = grid.coordinates()
     _check_gradients(
         lambda ts, xs: ct[:, None] * ts + cx[:, None] * xs,
         ct[:, None],

@@ -9,6 +9,7 @@ distributions.
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -282,6 +283,9 @@ def test_criterion_09_lightlike_rigidity():
            violations == 0, f"violations={violations}")
 
 
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed42.csv"
+
+
 def test_criterion_10_verify_determinism(tmp_path, subprocess_env):
     argv = ["verify", "--suite", "all", "--seed", "42", "--out"]
     sub_csv, own_csv = tmp_path / "subprocess.csv", tmp_path / "in_process.csv"
@@ -296,7 +300,11 @@ def test_criterion_10_verify_determinism(tmp_path, subprocess_env):
     own_code = cli_main([*argv, str(own_csv)])
     returncodes = [proc.wait(), own_code]
     identical = sub_csv.read_bytes() == own_csv.read_bytes()
+    # the committed artifact pins every row: a change that moves any value
+    # must regenerate it and say which rows changed and why
+    golden = own_csv.read_bytes() == GOLDEN_VERIFY.read_bytes()
     report(10, "verify --suite all exits 0 and emits byte-identical CSV "
-               "artifacts in a subprocess and in-process with the same seed",
-           returncodes == [0, 0] and identical,
-           f"exit_codes={returncodes} identical={identical}")
+               "artifacts in a subprocess, in-process and in the committed "
+               "tests/data/verify_seed42.csv with the same seed",
+           returncodes == [0, 0] and identical and golden,
+           f"exit_codes={returncodes} identical={identical} golden={golden}")

@@ -36,8 +36,10 @@ from nccausal import (
     reachable_longitudes,
     separating_element_search,
     speed_bound,
+    state_eval,
     state_on_parallel,
 )
+from nccausal.product_causality import _dictionary_tables
 from nccausal.verify import random_product_pair, related_product_pair
 
 E = Event
@@ -45,6 +47,13 @@ I2 = np.eye(2, dtype=complex)
 G0 = np.array([[1j, 0], [0, -1j]])
 G1 = np.array([[0, 1], [1, 0]], dtype=complex)
 GM = G0 @ G1
+PAULI = (
+    I2,
+    np.array([[1, 0], [0, -1]], dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+)
+BETAS = (0.0, 0.75, -0.75, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
 
 
 def equator(theta):
@@ -57,6 +66,37 @@ def reference_symbol(a, at, ax, df):
     d = df.matrix()
     return np.kron(1j * G0, I2) @ (
         np.kron(-1j * G0, at) + np.kron(-1j * G1, ax) + np.kron(GM, d @ a - a @ d)
+    )
+
+
+def reference_jets(p, q):
+    """The profiles of ``default_dictionary(p, q)`` written out with math.tanh
+    and math.exp, each mapping (t, x) to (u, du/dt, du/dx): the constant,
+    tanh of the time coordinate boosted by each rapidity of BETAS, and two
+    Gaussian bumps, all centred at the midpoint of p and q."""
+    tc, xc = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
+    width = max(math.hypot(q.t - p.t, q.x - p.x), 1.0)
+
+    def tanh_boost(beta):
+        ch, sh = math.cosh(beta), math.sinh(beta)
+
+        def jet(t, x):
+            u = math.tanh(ch * (t - tc) + sh * (x - xc))
+            return u, (1.0 - u * u) * ch, (1.0 - u * u) * sh
+
+        return jet
+
+    def bump(w):
+        def jet(t, x):
+            u = math.exp(-((t - tc) ** 2 + (x - xc) ** 2) / (2.0 * w * w))
+            return u, -(t - tc) / (w * w) * u, -(x - xc) / (w * w) * u
+
+        return jet
+
+    return (
+        [lambda t, x: (1.0, 0.0, 0.0)]
+        + [tanh_boost(b) for b in BETAS]
+        + [bump(width), bump(0.5 * width)]
     )
 
 
@@ -144,22 +184,44 @@ def test_product_symbol_stack_matches_single_calls():
 def test_max_symbol_eigenvalue_matches_per_event_reference():
     df = FiniteDirac(1.0, 2.0)
     rng = np.random.default_rng(27)
-    dictionary = default_dictionary(E(0, 0), E(2, 0.5))
+    p, q = E(0, 0), E(2, 0.5)
+    dictionary = default_dictionary(p, q)
+    jets = reference_jets(p, q)
+    assert dictionary.size == len(PAULI) * len(jets)
     grid = Grid(-3.0, 5.0, -3.0, 3.5, 9, 9)
     for _ in range(20):
         element = CausalElement(dictionary, rng.uniform(-1, 1, dictionary.size))
         worst = -math.inf
         for e in grid.events():
-            gt = np.zeros((2, 2), dtype=complex)
-            gx = np.zeros((2, 2), dtype=complex)
+            a, at, ax = (np.zeros((2, 2), dtype=complex) for _ in range(3))
             for k, c in enumerate(element.coefficients):
-                prof, mat = dictionary.atom(k)
-                ut, ux = prof.gradient(e)
-                gt += c * ut * mat
-                gx += c * ux * mat
-            sym = reference_symbol(element.value_at(e), gt, gx, df)
+                u, ut, ux = jets[k // 4](e.t, e.x)
+                a += c * u * PAULI[k % 4]
+                at += c * ut * PAULI[k % 4]
+                ax += c * ux * PAULI[k % 4]
+            sym = reference_symbol(a, at, ax, df)
             worst = max(worst, float(np.linalg.eigvalsh(sym)[-1]))
         assert abs(element.max_symbol_eigenvalue(grid, df) - worst) <= 1e-12
+
+
+def test_tabulated_profiles_match_their_reference_and_differences():
+    rng = np.random.default_rng(28)
+    p, q = E(-0.4, 0.3), E(1.7, -0.6)
+    dictionary = default_dictionary(p, q)
+    t, x = rng.uniform(-4, 4, (2, 200))
+    tables = _dictionary_tables(dictionary, t, x)
+    assert tables.shape == (200, 3, len(dictionary.profiles))
+    for j, jet in enumerate(reference_jets(p, q)):
+        want = np.array([jet(a, b) for a, b in zip(t, x)])
+        assert np.max(np.abs(tables[:, :, j] - want)) <= 1e-12
+    # the tabulated gradient is the derivative of the tabulated value
+    h = 1e-6
+    value = [
+        _dictionary_tables(dictionary, t + dt, x + dx)[:, 0]
+        for dt, dx in ((h, 0), (-h, 0), (0, h), (0, -h))
+    ]
+    assert np.max(np.abs((value[0] - value[1]) / (2 * h) - tables[:, 1])) <= 1e-7
+    assert np.max(np.abs((value[2] - value[3]) / (2 * h) - tables[:, 2])) <= 1e-7
 
 
 def test_product_symbol_rejects_non_hermitian_input():
@@ -400,6 +462,85 @@ def test_separating_search_related_pair_finds_nothing():
     w1 = ProductState(E(0, 0), equator(0.0))
     w2 = ProductState(E(2, 0), equator(1.5))
     assert separating_element_search(w1, w2, df) is None
+
+
+def reference_atom_search(w1, w2, df):
+    """Every signed atom of the default dictionary, brute force: its gap
+    w2(a) - w1(a) and the largest eigenvalue of its reference symbol over
+    the search's default grid, as (k, sign, gap, lam) in (k, +/-) order.
+
+    ``reference_symbol`` is linear in (a, da/dt, da/dx), so the symbol of
+    u H at an event is u, du/dt and du/dx times its images of (H, 0, 0),
+    (0, H, 0) and (0, 0, H)."""
+    p, q = w1.event, w2.event
+    sep = math.hypot(q.t - p.t, q.x - p.x)
+    grid = Grid.covering(p, q, margin=sep + 1.0, n_t=13, n_x=13)
+    zero = np.zeros((2, 2), dtype=complex)
+    atoms = []
+    for jet in reference_jets(p, q):
+        jets = np.array([jet(e.t, e.x) for e in grid.events()])
+        u_p, u_q = jet(p.t, p.x)[0], jet(q.t, q.x)[0]
+        for h in PAULI:
+            images = np.array(
+                [
+                    reference_symbol(h, zero, zero, df),
+                    reference_symbol(zero, h, zero, df),
+                    reference_symbol(zero, zero, h, df),
+                ]
+            )
+            eig = np.linalg.eigvalsh(np.einsum("er,rab->eab", jets, images))
+            gap = u_q * state_eval(w2.internal, h) - u_p * state_eval(w1.internal, h)
+            k = len(atoms) // 2
+            atoms.append((k, 1.0, gap, float(np.max(eig[:, -1]))))
+            atoms.append((k, -1.0, -gap, float(-np.min(eig[:, 0]))))
+    return atoms
+
+
+@pytest.mark.parametrize(
+    "df, seed", [(FiniteDirac(1.0, 2.0), 29), (FiniteDirac(0.5, -1.5), 30)]
+)
+def test_separating_search_returns_the_best_certified_atom(df, seed):
+    rng = np.random.default_rng(seed)
+    wanted = {"latitude": 3, "base": 3, "speed": 3, "related": 3}
+    while any(wanted.values()):
+        if rng.uniform() < 0.3:
+            w1, w2 = related_product_pair(rng, df)
+        else:
+            w1, w2 = random_product_pair(rng, df)
+        reason = causally_related(w1, w2, df).reason
+        kind = "related" if reason is None else reason.value
+        if not wanted[kind]:
+            continue
+        wanted[kind] -= 1
+        atoms = reference_atom_search(w1, w2, df)
+        certified = [a for a in atoms if a[2] < -1e-6 and a[3] <= 1e-9]
+        witness = separating_element_search(w1, w2, df)
+        if not certified:
+            assert witness is None, kind
+            continue
+        # the most negative gap; min keeps the first of equal gaps
+        k, sign, gap, _ = min(certified, key=lambda a: a[2])
+        assert witness is not None, kind
+        want = np.zeros(len(atoms) // 2)
+        want[k] = sign
+        assert np.array_equal(witness.coefficients, want), kind
+        assert abs(witness.eval_state(w2) - witness.eval_state(w1) - gap) <= 1e-12
+
+
+def test_separating_search_breaks_ties_in_atom_order():
+    # far apart, the steeper boosted tanh profiles saturate at exactly +-1,
+    # so six certified atoms tie exactly at the most negative gap, about -2
+    df = FiniteDirac(1.0, 2.0)
+    w1 = ProductState(E(10.0, 0.0), equator(0.0))
+    w2 = ProductState(E(-10.0, 0.0), equator(0.0))
+    certified = [a for a in reference_atom_search(w1, w2, df) if a[3] <= 1e-9]
+    least = min(a[2] for a in certified)
+    best = [a for a in certified if a[2] == least]
+    assert len(best) == 6 and abs(least + 2.0) <= 1e-12
+    witness = separating_element_search(w1, w2, df)
+    assert witness is not None
+    assert witness.describe() == "+1*tanh_boost[1.5]@(0,0)*id"
+    assert np.flatnonzero(witness.coefficients).tolist() == [best[0][0]]
 
 
 def test_separating_search_rejects_small_grid():

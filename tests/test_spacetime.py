@@ -247,6 +247,24 @@ def test_boost_gradient_check_rejects_lying_family():
         spacetime._check_gradients(family, ct * 1.01, cx, t, x)
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e8, 1e9, 1e10, 1e12, 1e15])
+def test_functional_at_large_coordinates(scale):
+    # the finite-difference step grows with the coordinates, so rounding of
+    # the two values no longer swamps their difference far from the origin
+    tau = lorentz_distance_functional(E(scale, 0.0), E(scale + 2.0, 1.0))
+    assert abs(tau - math.sqrt(3.0)) <= 1e-9 * max(1.0, tau)
+    if scale == 1e9:
+        ct, cx = np.cosh(BOOST_BETAS)[:, None], np.sinh(BOOST_BETAS)[:, None]
+        t, x = np.array([scale - 1.0, scale, scale + 3.0]), np.array([-1.0, 0.0, 2.0])
+
+        def family(ts, xs):
+            return ct * ts + cx * xs
+
+        spacetime._check_gradients(family, ct, cx, t, x)
+        with pytest.raises(GradientMismatch):
+            spacetime._check_gradients(family, ct * 1.01, cx, t, x)
+
+
 def test_functional_certifies_exactly_the_rapidities_it_evaluated(monkeypatch):
     evaluated, checked, certified = [], [], []
     gain, certificate = spacetime._boost_gain, spacetime._steep_certificate
