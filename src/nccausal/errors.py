@@ -29,6 +29,10 @@ class NotCausallyRelated(ValueError):
     """Operation requires causally ordered endpoints."""
 
 
+class CoordinateOverflow(ValueError):
+    """A distance or proper time between finite events exceeds the double range."""
+
+
 class GradientMismatch(ValueError):
     """Supplied gradient disagrees with central finite differences."""
 

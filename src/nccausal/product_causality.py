@@ -277,10 +277,15 @@ class ProductCurve:
             (a, tha), (b, thb) = self.vertices[i], self.vertices[i + 1]
             dt = b.t - a.t
             dx = b.x - a.x
-            if dt <= 0.0 or dt < abs(dx):
+            if dt <= 0.0 or not causally_precedes(a, b):
                 raise NonCausalSegment(i, f"segment {i}: base step not causal")
             dth = thb - tha
-            if dth * dth > gap2 * (dt * dt - dx * dx) + tol:
+            interval = dt * dt - dx * dx
+            if not math.isfinite(interval):  # compare the roots instead
+                too_fast = abs(dth) > df.gap * lorentzian_distance(a, b)
+            else:
+                too_fast = dth * dth > gap2 * interval + tol
+            if too_fast:
                 raise NonCausalSegment(
                     i, f"segment {i}: internal angular speed exceeds the bound"
                 )
@@ -291,12 +296,7 @@ def _lift_curve(
 ) -> ProductCurve:
     """Lift a base curve to the product by spreading the angular displacement
     proportionally to per-segment proper time."""
-    taus = []
-    for i in range(len(base_vertices) - 1):
-        a, b = base_vertices[i], base_vertices[i + 1]
-        dt = b.t - a.t
-        dx = b.x - a.x
-        taus.append(math.sqrt(max(dt * dt - dx * dx, 0.0)))
+    taus = [lorentzian_distance(a, b) for a, b in zip(base_vertices, base_vertices[1:])]
     total = sum(taus)
     verts = [(base_vertices[0], theta_start)]
     acc = 0.0

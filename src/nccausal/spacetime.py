@@ -18,6 +18,7 @@ import numpy as np
 
 from .clifford import causal_symbol, is_nsd, steep_symbol
 from .errors import (
+    CoordinateOverflow,
     GradientMismatch,
     NonCausalSegment,
     NotCausallyRelated,
@@ -26,6 +27,11 @@ from .errors import (
 NSD_TOL = 1e-9
 FD_STEP = 1e-5
 BOOST_CAP = 60.0
+# Pairs whose squared interval overflows are worked on at 2**-RESCALE_EXP
+# scale: any difference of doubles is then below 2**426, its square finite,
+# and every event of such a pair keeps its bits down to far below its
+# largest coordinate's ulp.
+RESCALE_EXP = 600
 
 
 @dataclass(frozen=True)
@@ -40,18 +46,44 @@ class Event:
             raise ValueError("event coordinates must be finite")
 
 
+def _scaled(e: Event) -> Event:
+    """The event with both coordinates multiplied by 2**-RESCALE_EXP."""
+    return Event(math.ldexp(e.t, -RESCALE_EXP), math.ldexp(e.x, -RESCALE_EXP))
+
+
+def _unscaled(value: float) -> float:
+    """A length taken between :func:`_scaled` events, back at full scale."""
+    try:
+        return math.ldexp(value, RESCALE_EXP)
+    except OverflowError:
+        raise CoordinateOverflow(
+            f"a length of {value:g} * 2**{RESCALE_EXP} exceeds the double range"
+        ) from None
+
+
 def causally_precedes(p: Event, q: Event) -> bool:
     """True iff q lies in the closed future cone of p."""
-    return (q.t - p.t) >= abs(q.x - p.x)
+    dt, adx = q.t - p.t, abs(q.x - p.x)
+    if dt == adx == math.inf:  # both differences overflow
+        return causally_precedes(_scaled(p), _scaled(q))
+    return dt >= adx
 
 
 def lorentzian_distance(p: Event, q: Event) -> float:
-    """sqrt(dt^2 - dx^2) when p precedes q, else 0."""
+    """sqrt(dt^2 - dx^2) when p precedes q, else 0.
+
+    When the squares overflow, the root is taken between the events scaled
+    by 2**-RESCALE_EXP and scaled back; a distance beyond the double range
+    raises :class:`CoordinateOverflow`.
+    """
     dt = q.t - p.t
     dx = q.x - p.x
     if dt < abs(dx):
         return 0.0
-    return math.sqrt(max(dt * dt - dx * dx, 0.0))
+    interval = dt * dt - dx * dx
+    if not math.isfinite(interval):
+        return _unscaled(lorentzian_distance(_scaled(p), _scaled(q)))
+    return math.sqrt(max(interval, 0.0))
 
 
 @dataclass(frozen=True)
@@ -68,11 +100,9 @@ class Curve:
 
 def _segment_tau(a: Event, b: Event) -> float | None:
     """Proper time of one future-directed causal segment, or None if infeasible."""
-    dt = b.t - a.t
-    dx = b.x - a.x
-    if dt <= 0.0 or dt < abs(dx):
+    if b.t - a.t <= 0.0 or not causally_precedes(a, b):
         return None
-    return math.sqrt(max(dt * dt - dx * dx, 0.0))
+    return lorentzian_distance(a, b)
 
 
 def proper_time(curve: Curve) -> float:
@@ -97,7 +127,9 @@ def _chord(p: Event, q: Event, n_segments: int) -> tuple[float, list[Event]]:
 
     A piece that rounding puts outside the cone (only possible for pairs
     within a few ulps of it) makes the chord fall back to the single segment
-    [p, q], which is causal and has the same proper time.
+    [p, q], which is causal and has the same proper time. A chord whose
+    squared interval or vertices overflow is cut between the events scaled
+    by 2**-RESCALE_EXP, and its proper time and vertices scaled back.
     """
     if n_segments < 1:
         raise ValueError("n_segments must be at least 1")
@@ -107,6 +139,10 @@ def _chord(p: Event, q: Event, n_segments: int) -> tuple[float, list[Event]]:
         return 0.0, [p, q]
     dt, dx = q.t - p.t, q.x - p.x
     n = n_segments
+    if not all(map(math.isfinite, (dt * dt - dx * dx, dt * (n - 1), dx * (n - 1)))):
+        tau, verts = _chord(_scaled(p), _scaled(q), n)
+        inner = [Event(_unscaled(v.t), _unscaled(v.x)) for v in verts[1:-1]]
+        return _unscaled(tau), [p, *inner, q]
     verts = [Event(p.t + dt * k / n, p.x + dx * k / n) for k in range(n)] + [q]
     seg = [_segment_tau(verts[i], verts[i + 1]) for i in range(n)]
     if None in seg:
@@ -356,9 +392,13 @@ def lorentz_distance_functional(p: Event, q: Event) -> float:
     every event of the rectangle, then its steep symbol is tested with the
     scale-relative tolerance NSD_TOL * max(1, |df/dt|). The value equals that
     member's gain, sqrt(dt^2 - dx^2) up to rounding for timelike pairs.
+    Each member is linear, so a pair whose squared interval overflows is
+    evaluated scaled by 2**-RESCALE_EXP and its value scaled back.
     """
     dt = q.t - p.t
     dx = q.x - p.x
+    if not math.isfinite(dt * dt - dx * dx):  # the value scales with the pair
+        return _unscaled(lorentz_distance_functional(_scaled(p), _scaled(q)))
     u, v = dt + dx, dt - dx
     beta = _boost_rapidity(u, v)
     gain = _boost_gain(u, v, beta)

@@ -138,10 +138,10 @@ def test_criterion_05_spectral_distance_against_closed_form():
         if not spectral_distance(DIRAC, s1, s2).is_infinite:
             infinite_bad += 1
         min_witness = min(min_witness, divergence_witness(DIRAC, s1, s2))
-    report(5, "spectral distance matches the sine closed form within 1e-6 on "
+    report(5, "spectral distance matches the sine closed form within 1e-12 on "
               "100 pairs; 50 cross-latitude pairs infinite with divergence "
               "witness > 1e6",
-           worst <= 1e-6 and infinite_bad == 0 and min_witness > 1e6,
+           worst <= 1e-12 and infinite_bad == 0 and min_witness > 1e6,
            f"max_err={worst:.3e} witness_min={min_witness:.3e}")
 
 

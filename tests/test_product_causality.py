@@ -14,6 +14,7 @@ import pytest
 
 from nccausal import (
     CausalElement,
+    CoordinateOverflow,
     Event,
     FiniteDirac,
     Grid,
@@ -365,6 +366,32 @@ def test_product_curve_validation():
     bad_base = ProductCurve(((E(0, 0), 0.0), (E(0.5, 1.0), 0.1)))
     with pytest.raises(NonCausalSegment):
         bad_base.validate(df)
+
+
+def test_overflowing_interval_in_the_product_layer():
+    """Events whose squared interval overflows: about 4.36e307 of proper
+    time, far more than any angle needs."""
+    df = FiniteDirac(0.0, 1.0)
+    p, q = E(0.0, 0.0), E(1e308, 0.9e308)
+    w1 = ProductState(p, state_on_parallel(0.2, 0.1))
+    w2 = ProductState(q, state_on_parallel(0.2, 3.0))
+    arc = reachable_longitudes(w1, q, df)
+    assert arc.kind == "full" and arc.half_width == math.pi
+    verdict = causally_related(w1, w2, df)
+    assert verdict.related
+    assert verdict.theta_budget == pytest.approx(math.sqrt(0.19) * 1e308, rel=1e-14)
+    assert curve_oracle(w1, w2, df, n_segments=3)
+    far = E(-1e308, 0.0), E(1e308, 0.0)
+    with pytest.raises(CoordinateOverflow):
+        causally_related(ProductState(far[0], w1.internal), ProductState(far[1], w2.internal), df)
+
+
+def test_product_curve_validates_overflowing_segments():
+    df = FiniteDirac(0.0, 1.0)
+    start, end = E(0.0, 0.0), E(1e200, 0.5e200)
+    ProductCurve(((start, 0.0), (end, 3.0))).validate(df)
+    with pytest.raises(NonCausalSegment):
+        ProductCurve(((start, 0.0), (end, 1e300))).validate(df)
 
 
 def test_curve_oracle_trivial_and_speed_cases():

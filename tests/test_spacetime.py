@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nccausal import (
+    CoordinateOverflow,
     Curve,
     Event,
     GradientMismatch,
@@ -450,6 +451,58 @@ def test_causal_order_is_a_partial_order():
             assert p == q
         if causally_precedes(p, q) and causally_precedes(q, r):
             assert causally_precedes(p, r)
+
+
+def exact_distance(p, q):
+    """sqrt(dt^2 - dx^2) for integer-valued coordinates, in exact integer
+    arithmetic (the floor of the root, far below a double's ulp here)."""
+    dt, dx = int(q.t) - int(p.t), int(q.x) - int(p.x)
+    return float(math.isqrt(dt * dt - dx * dx))
+
+
+# Causal pairs whose squared differences overflow a double; in the second
+# pair the differences themselves overflow, yet the distance is finite.
+OVERFLOWING_PAIRS = [
+    (E(0.0, 0.0), E(1e308, 0.9e308)),
+    (E(-1e308, -1e308), E(1e308, 0.8e308)),
+]
+
+
+@pytest.mark.parametrize("p, q", OVERFLOWING_PAIRS)
+def test_overflowing_interval_keeps_finite_distances(p, q):
+    want = exact_distance(p, q)
+    assert causally_precedes(p, q) and not causally_precedes(q, p)
+    assert lorentzian_distance(p, q) == pytest.approx(want, rel=1e-15)
+    assert lorentzian_distance(q, p) == 0.0
+    assert lorentz_distance_functional(p, q) == pytest.approx(want, rel=1e-14)
+    assert lorentz_distance_functional(q, p) == 0.0
+    for n in (1, 2, 3, 8):
+        assert max_proper_time(p, q, n) == pytest.approx(want, rel=1e-14)
+
+
+def test_distances_beyond_the_double_range_raise():
+    p, q = E(-1e308, 0.0), E(1e308, 0.0)
+    assert causally_precedes(p, q)
+    for value in (
+        lambda: lorentzian_distance(p, q),
+        lambda: lorentz_distance_functional(p, q),
+        lambda: max_proper_time(p, q, 3),
+    ):
+        with pytest.raises(CoordinateOverflow):
+            value()
+
+
+def test_overflowing_differences_keep_the_causal_order():
+    p = E(-1e308, -1e308)
+    assert causally_precedes(p, E(1e308, 1e308))  # lightlike
+    assert not causally_precedes(p, E(1e308, 1.5e308))  # spacelike
+    assert not causally_precedes(E(1e308, 1e308), p)
+
+
+def test_large_finite_squares_keep_the_plain_formula():
+    p, q = E(-3e153, 1e153), E(5e153, -2e153)
+    dt, dx = q.t - p.t, q.x - p.x
+    assert lorentzian_distance(p, q) == math.sqrt(dt * dt - dx * dx)
 
 
 def test_grid_layout_row_major_t_outer():
