@@ -23,6 +23,8 @@ from .clifford import ensure_hermitian
 from .errors import NotUnitary, PoleState, ZeroVector
 
 LATITUDE_TOL = 1e-9
+DIVERGENCE_THRESHOLD = 1e6
+_THRESHOLD_MANTISSA, _THRESHOLD_EXP = math.frexp(DIVERGENCE_THRESHOLD)
 POLE_TOL = 1e-12
 _NORM_FLOOR = 1e-12
 
@@ -223,33 +225,24 @@ def parallel_distance_closed_form(
     return 2.0 * math.sqrt(max(0.0, 1.0 - z * z)) * abs(math.sin(0.5 * dtheta)) / df.gap
 
 
-def divergence_witness(
-    df: FiniteDirac,
-    s1: InternalState,
-    s2: InternalState,
-    threshold: float = 1e6,
-    max_doublings: int = 120,
-) -> float:
+def divergence_witness(df: FiniteDirac, s1: InternalState, s2: InternalState) -> float:
     """Constructive unboundedness certificate for a cross-latitude pair.
 
-    Scales the diagonal element diag(c, -c), which commutes with the Dirac
-    operator (so it is feasible at every scale), doubling c until the
-    evaluation gap exceeds ``threshold``; returns the achieved gap.
+    The diagonal element diag(c, -c) commutes with the diagonal Dirac
+    operator, so it is feasible at every scale c, and for c a power of two its
+    evaluation gap is exactly c times that of diag(1, -1). The witness is the
+    first power of two (c >= 1) whose gap exceeds ``DIVERGENCE_THRESHOLD``,
+    found from the binary exponents of the unit gap and the threshold; its
+    gap is returned.
     """
-    dz = latitude(s1) - latitude(s2)
-    if abs(dz) <= LATITUDE_TOL:
+    if abs(latitude(s1) - latitude(s2)) <= LATITUDE_TOL:
         raise ValueError("states share a parallel of latitude; the objective is bounded")
-    scale = 1.0
-    gain = 0.0
-    for _ in range(max_doublings):
-        a = np.diag([complex(scale), complex(-scale)])
-        if commutator_norm(df, a) > 1.0:
-            raise RuntimeError("diagonal witness unexpectedly infeasible")
-        gain = abs(state_eval(s1, a) - state_eval(s2, a))
-        if gain > threshold:
-            return gain
-        scale *= 2.0
-    return gain
+    unit = np.diag([complex(1.0), complex(-1.0)])
+    gap = abs(state_eval(s1, unit) - state_eval(s2, unit))
+    mantissa, exponent = math.frexp(gap)
+    # m 2^e exceeds M 2^E (m, M in [0.5, 1)) iff e > E, or e == E and m > M
+    k = _THRESHOLD_EXP - exponent + (mantissa <= _THRESHOLD_MANTISSA)
+    return math.ldexp(gap, max(k, 0))
 
 
 @dataclass(frozen=True, eq=False)

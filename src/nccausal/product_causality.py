@@ -10,8 +10,9 @@ Every symbol comes from one batched assembly: one matrix product of the
 Pauli coordinates of the element's value and gradient at each event with
 twelve constant Hermitian blocks. The separating search scans the signed
 dictionary atoms in ascending order of their evaluation gap and returns the
-first one whose symbol is certified negative semidefinite on the grid; each
-profile is tabulated over the grid in one array call.
+first one whose symbol is certified negative semidefinite on the grid. The
+dictionary's profiles are spacetime scalar fields, and each one's jet is
+tabulated over the grid in one array call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,12 +38,14 @@ from .finite_geometry import (
 from .spacetime import (
     Event,
     Grid,
+    ScalarField,
     _chord,
     causally_precedes,
     lorentzian_distance,
 )
 
 SPEED_SLACK = 1e-12
+ORACLE_SLACK = 1e-3
 NSD_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
@@ -312,16 +315,14 @@ def curve_oracle(
     w2: ProductState,
     df: FiniteDirac,
     n_segments: int = 6,
-    *,
-    slack: float = 1e-3,
 ) -> bool:
     """Curve-based test for a product curve from w1 to w2.
 
     Takes the base chord from p to q in ``n_segments`` pieces, which has the
     maximal proper time, then checks whether some angular displacement
     (winding k in {-1, 0, 1}) fits within the speed bound times that proper
-    time, up to the slack. When it fits, the chord is lifted to an explicit
-    product curve, which must pass :meth:`ProductCurve.validate`.
+    time, up to ``ORACLE_SLACK``. When it fits, the chord is lifted to an
+    explicit product curve, which must pass :meth:`ProductCurve.validate`.
     Independent of :func:`causally_related`, against which it is compared in
     the test suite.
     """
@@ -338,7 +339,7 @@ def curve_oracle(
     th2 = longitude(w2.internal)
     deltas = [th2 - th1 + TWO_PI * k for k in (-1, 0, 1)]
     delta = min(deltas, key=abs)
-    if abs(delta) > budget + slack:
+    if abs(delta) > budget + ORACLE_SLACK:
         return False
     if abs(delta) <= budget and tau > 0.0:
         # materialize the witness curve and check it satisfies the invariant
@@ -352,25 +353,13 @@ def curve_oracle(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Bounded smooth scalar profile u with its analytic gradient.
-
-    ``jet(t, x)`` returns (u, du/dt, du/dx) and works on floats and, element
-    by element, on arrays of coordinates.
-    """
-
-    name: str
-    jet: Callable
-
-
-def _const_profile() -> Profile:
-    return Profile(
-        "const", lambda t, x: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t))
+def _const_profile() -> ScalarField:
+    return ScalarField(
+        lambda t, x: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t)), "const"
     )
 
 
-def _boost_tanh_profile(beta: float, tc: float = 0.0, xc: float = 0.0) -> Profile:
+def _boost_tanh_profile(beta: float, tc: float = 0.0, xc: float = 0.0) -> ScalarField:
     """tanh of a boosted time coordinate, shifted to transition at (tc, xc).
 
     Causal for every rapidity: the gradient is sech^2 * (cosh beta, sinh beta)
@@ -384,10 +373,10 @@ def _boost_tanh_profile(beta: float, tc: float = 0.0, xc: float = 0.0) -> Profil
         s = 1.0 - u * u
         return u, s * ch, s * sh
 
-    return Profile(f"tanh_boost[{beta:g}]@({tc:g},{xc:g})", jet)
+    return ScalarField(jet, f"tanh_boost[{beta:g}]@({tc:g},{xc:g})")
 
 
-def _bump_profile(tc: float, xc: float, width: float) -> Profile:
+def _bump_profile(tc: float, xc: float, width: float) -> ScalarField:
     w2 = width * width
 
     def jet(t, x):
@@ -396,23 +385,19 @@ def _bump_profile(tc: float, xc: float, width: float) -> Profile:
         u = np.exp(-(dt * dt + dx * dx) / (2.0 * w2))
         return u, -dt / w2 * u, -dx / w2 * u
 
-    return Profile(f"bump[{tc:g},{xc:g};{width:g}]", jet)
+    return ScalarField(jet, f"bump[{tc:g},{xc:g};{width:g}]")
 
 
 @dataclass(frozen=True, eq=False)
 class ElementDictionary:
     """Profiles times the Pauli basis (id, sz, sx, sy); atom k is profile
-    k // 4 times Pauli matrix k % 4."""
+    k // 4 times Pauli matrix k % 4. Each profile is a bounded scalar field."""
 
-    profiles: tuple[Profile, ...]
+    profiles: tuple[ScalarField, ...]
 
     @property
     def size(self) -> int:
         return len(self.profiles) * len(_PAULI)
-
-    def atom(self, k: int) -> tuple[Profile, np.ndarray]:
-        i, j = divmod(k, len(_PAULI))
-        return self.profiles[i], _PAULI[j]
 
     def atom_name(self, k: int) -> str:
         i, j = divmod(k, len(_PAULI))
@@ -503,7 +488,6 @@ def separating_element_search(
     w1: ProductState,
     w2: ProductState,
     df: FiniteDirac,
-    dictionary: ElementDictionary | None = None,
     grid: Grid | None = None,
 ) -> Optional[CausalElement]:
     """Search for a cone element a with w2(a) - w1(a) < -1e-6.
@@ -518,8 +502,7 @@ def separating_element_search(
     with the most negative gap.
     """
     p, q = w1.event, w2.event
-    if dictionary is None:
-        dictionary = default_dictionary(p, q)
+    dictionary = default_dictionary(p, q)
     sep = math.hypot(q.t - p.t, q.x - p.x)
     if grid is None:
         grid = Grid.covering(p, q, margin=sep + 1.0, n_t=13, n_x=13)

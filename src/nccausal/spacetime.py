@@ -2,6 +2,9 @@
 piecewise-linear curves, grid-based causal/steep function predicates, and the
 distance functional evaluated over the boost family of steep functions.
 
+A scalar field is its jet: one function returning (f, df/dt, df/dx), which
+the predicates evaluate once on a whole grid of coordinates.
+
 Both extremal problems have closed forms on the plane: the straight chord
 maximizes proper time over causal curves (reverse triangle inequality), and
 the boost family's infimum sits at the rapidity beta* = 0.5 ln(v/u), with
@@ -109,7 +112,8 @@ def proper_time(curve: Curve) -> float:
     """Sum of per-segment proper times sqrt(dt^2 - dx^2).
 
     Raises :class:`NonCausalSegment` naming the first segment with dt <= 0 or
-    dt < |dx|.
+    dt < |dx|, and :class:`CoordinateOverflow` when the sum exceeds the
+    double range.
     """
     total = 0.0
     vs = curve.vertices
@@ -118,6 +122,8 @@ def proper_time(curve: Curve) -> float:
         if tau is None:
             raise NonCausalSegment(i)
         total += tau
+    if not math.isfinite(total):
+        raise CoordinateOverflow("the proper time of the curve exceeds the double range")
     return total
 
 
@@ -164,17 +170,21 @@ def max_proper_time(p: Event, q: Event, n_segments: int) -> float:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function of events together with its gradient (df/dt, df/dx)."""
+    """A differentiable scalar field on the plane, given by its jet.
 
-    value: Callable[[Event], float]
-    gradient: Callable[[Event], tuple[float, float]]
+    ``jet(t, x)`` returns (f, df/dt, df/dx) and works on floats and, element
+    by element, on arrays of coordinates.
+    """
+
+    jet: Callable
+    name: str = ""
 
 
 def affine_field(ct: float, cx: float, c0: float = 0.0) -> ScalarField:
-    return ScalarField(
-        value=lambda e: ct * e.t + cx * e.x + c0,
-        gradient=lambda e: (ct, cx),
-    )
+    def jet(t, x):
+        return ct * t + cx * x + c0, np.full(np.shape(t), ct), np.full(np.shape(t), cx)
+
+    return ScalarField(jet)
 
 
 def boost_field(beta: float) -> ScalarField:
@@ -251,13 +261,15 @@ def _check_gradients(value, gt, gx, t, x) -> None:
     All arguments broadcast together, so one call checks a whole family of
     gradients at every event. The step is ``FD_STEP * max(1, |t|, |x|)`` per
     event, so that far from the origin the difference of the two values still
-    stands well above their rounding error.
+    stands well above their rounding error. Where a difference is not
+    finite, the gradient cannot be confirmed and counts as a mismatch.
     """
     h = FD_STEP * np.maximum(1.0, np.maximum(np.abs(t), np.abs(x)))
     fdt = (value(t + h, x) - value(t - h, x)) / (2.0 * h)
     fdx = (value(t, x + h) - value(t, x - h)) / (2.0 * h)
     tol = np.maximum(1e-5, 1e-3 * np.hypot(gt, gx))
-    t, x, bad = np.broadcast_arrays(t, x, np.hypot(fdt - gt, fdx - gx) > tol)
+    # nan compares False, so a non-finite difference counts as a mismatch
+    t, x, bad = np.broadcast_arrays(t, x, ~(np.hypot(fdt - gt, fdx - gx) <= tol))
     if bad.any():
         k = int(np.argmax(bad))
         raise GradientMismatch(
@@ -267,14 +279,10 @@ def _check_gradients(value, gt, gx, t, x) -> None:
 
 def _checked_gradients(f: ScalarField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Supplied gradient of f at every grid event, validated against central
-    finite differences."""
+    finite differences of its value."""
     t, x = grid.coordinates()
-    gt, gx = np.array([f.gradient(e) for e in grid.events()], dtype=float).T
-
-    def value(ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return np.array([f.value(Event(a, b)) for a, b in zip(ts.tolist(), xs.tolist())])
-
-    _check_gradients(value, gt, gx, t, x)
+    _, gt, gx = f.jet(t, x)
+    _check_gradients(lambda ts, xs: f.jet(ts, xs)[0], gt, gx, t, x)
     return gt, gx
 
 
@@ -328,23 +336,6 @@ def is_steep_function(f: ScalarField, grid: Grid) -> bool:
     return _steep_certificate(*_checked_gradients(f, grid))
 
 
-def _boost_family_is_steep(betas: np.ndarray, grid: Grid) -> bool:
-    """Certify the boost members t cosh(beta) + x sinh(beta) for all ``betas``
-    at once: their gradients (cosh(beta), sinh(beta)) are checked against
-    central finite differences at every event of ``grid``, then certified
-    steep in one batched call."""
-    ct, cx = np.cosh(betas), np.sinh(betas)
-    t, x = grid.coordinates()
-    _check_gradients(
-        lambda ts, xs: ct[:, None] * ts + cx[:, None] * xs,
-        ct[:, None],
-        cx[:, None],
-        t,
-        x,
-    )
-    return _steep_certificate(ct, cx)
-
-
 def _boost_gain(u: float, v: float, beta: float) -> float:
     """f(q) - f(p) for the boost member of rapidity ``beta``, in light-cone
     form: with u = dt + dx and v = dt - dx, dt cosh(beta) + dx sinh(beta)
@@ -387,13 +378,15 @@ def lorentz_distance_functional(p: Event, q: Event) -> float:
     is not strictly future-timelike gives exactly 0.
 
     Before the value is returned, the member at the rapidity used is
-    certified in one steep certificate on a small rectangle covering both
-    events: its gradient is checked against central finite differences at
-    every event of the rectangle, then its steep symbol is tested with the
+    certified by :func:`is_steep_function` on the 3x3 rectangle covering both
+    events with margin 1: its gradient is checked against central finite
+    differences at the nine events, then its steep symbol is tested with the
     scale-relative tolerance NSD_TOL * max(1, |df/dt|). The value equals that
     member's gain, sqrt(dt^2 - dx^2) up to rounding for timelike pairs.
     Each member is linear, so a pair whose squared interval overflows is
-    evaluated scaled by 2**-RESCALE_EXP and its value scaled back.
+    evaluated scaled by 2**-RESCALE_EXP and its value scaled back, and a
+    member whose values would overflow on the rectangle is certified on the
+    rectangle of the scaled pair.
     """
     dt = q.t - p.t
     dx = q.x - p.x
@@ -402,7 +395,9 @@ def lorentz_distance_functional(p: Event, q: Event) -> float:
     u, v = dt + dx, dt - dx
     beta = _boost_rapidity(u, v)
     gain = _boost_gain(u, v, beta)
-    check_grid = Grid.covering(p, q, margin=1.0, n_t=3, n_x=3)
-    if not _boost_family_is_steep(np.array([beta]), check_grid):
-        raise RuntimeError("boost family member failed the steep certificate")
+    reach = 2.0 * math.exp(abs(beta)) * (1.0 + max(map(abs, (p.t, p.x, q.t, q.x))))
+    if not math.isfinite(reach):  # the member's values overflow on the rectangle
+        p, q = _scaled(p), _scaled(q)
+    if not is_steep_function(boost_field(beta), Grid.covering(p, q, margin=1.0, n_t=3, n_x=3)):
+        raise RuntimeError("boost member failed the steep certificate")
     return gain if u > 0.0 and v > 0.0 else 0.0

@@ -376,7 +376,7 @@ def verify_spacetime(seed: int) -> list[CheckResult]:
     causal_fields = [
         affine_field(1.0, 0.0),
         boost_field(0.8),
-        ScalarField(lambda e: math.atan(e.t), lambda e: (1.0 / (1.0 + e.t * e.t), 0.0)),
+        ScalarField(lambda t, x: (np.arctan(t), 1.0 / (1.0 + t * t), np.zeros_like(t))),
         affine_field(2.0, 0.0, 1.0),
     ]
     failures = 0
@@ -388,11 +388,9 @@ def verify_spacetime(seed: int) -> list[CheckResult]:
         idx1, idx2 = rng.integers(0, len(causal_fields), 2)
         f, g = causal_fields[idx1], causal_fields[idx2]
         combined = ScalarField(
-            value=lambda e, f=f, g=g, lam=lam: lam * f.value(e) + g.value(e),
-            gradient=lambda e, f=f, g=g, lam=lam: (
-                lam * f.gradient(e)[0] + g.gradient(e)[0],
-                lam * f.gradient(e)[1] + g.gradient(e)[1],
-            ),
+            lambda t, x, f=f, g=g, lam=lam: tuple(
+                lam * a + b for a, b in zip(f.jet(t, x), g.jet(t, x))
+            )
         )
         if not is_causal_function(combined, grid):
             failures += 1

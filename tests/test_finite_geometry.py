@@ -29,7 +29,8 @@ from nccausal import (
     state_on_parallel,
     unitary_conjugate,
 )
-from nccausal.verify import random_parallel_pair, random_unitary
+from nccausal.finite_geometry import LATITUDE_TOL
+from nccausal.verify import random_cross_latitude_pair, random_parallel_pair, random_unitary
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -307,6 +308,41 @@ def test_divergence_witness_exceeds_threshold_and_stays_feasible():
     s2 = state_on_parallel(0.0, 0.0)
     gain = divergence_witness(df, s1, s2)
     assert gain > 1e6
+    # every scale of the witness direction commutes with the Dirac operator
+    for k in range(0, 120, 7):
+        c = math.ldexp(1.0, k)
+        assert commutator_norm(df, np.diag([complex(c), complex(-c)])) == 0.0
+
+
+def doubling_witness(s1, s2, threshold=1e6, max_doublings=120):
+    """Oracle for the closed form: double the scale c of diag(c, -c) from 1
+    until the evaluation gap exceeds the threshold, evaluating every step."""
+    scale = 1.0
+    gain = 0.0
+    for _ in range(max_doublings):
+        a = np.diag([complex(scale), complex(-scale)])
+        gain = abs(state_eval(s1, a) - state_eval(s2, a))
+        if gain > threshold:
+            return gain
+        scale *= 2.0
+    return gain
+
+
+def test_divergence_witness_matches_the_doubling_search():
+    rng = np.random.default_rng(31)
+    pairs = [random_cross_latitude_pair(rng) for _ in range(300)]
+    pairs += [(make_state([1.0, 0.0]), state_on_parallel(0.3, 1.0)),
+              (state_on_parallel(-0.2, 0.5), make_state([0.0, 1.0]))]
+    while len(pairs) < 600:  # latitude gaps just above the tolerance
+        z = float(rng.uniform(-0.95, 0.95))
+        dz = LATITUDE_TOL * float(rng.uniform(1.0, 3.0))
+        s1 = state_on_parallel(z, float(rng.uniform(-math.pi, math.pi)))
+        s2 = state_on_parallel(z + dz, float(rng.uniform(-math.pi, math.pi)))
+        if abs(latitude(s1) - latitude(s2)) > LATITUDE_TOL:
+            pairs.append((s1, s2))
+    df = FiniteDirac(-2.0, 1.5)
+    for s1, s2 in pairs:
+        assert divergence_witness(df, s1, s2) == doubling_witness(s1, s2), (s1, s2)
 
 
 def test_divergence_witness_rejects_shared_parallel():

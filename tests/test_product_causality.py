@@ -31,6 +31,7 @@ from nccausal import (
     causally_related,
     curve_oracle,
     default_dictionary,
+    is_causal_function,
     make_state,
     minimal_angle_gap,
     product_symbol,
@@ -223,6 +224,24 @@ def test_tabulated_profiles_match_their_reference_and_differences():
     ]
     assert np.max(np.abs((value[0] - value[1]) / (2 * h) - tables[:, 1])) <= 1e-7
     assert np.max(np.abs((value[2] - value[3]) / (2 * h) - tables[:, 2])) <= 1e-7
+
+
+def test_dictionary_profiles_are_scalar_fields():
+    # on the search grid the constant and every boosted tanh profile are
+    # causal and both bumps are not; every profile's gradient passes the
+    # finite-difference check, which would raise otherwise
+    rng = np.random.default_rng(32)
+    df = FiniteDirac(1.0, 2.0)
+    pairs = [(E(-0.4, 0.3), E(1.7, -0.6))]
+    pairs += [tuple(w.event for w in random_product_pair(rng, df)) for _ in range(6)]
+    for p, q in pairs:
+        sep = math.hypot(q.t - p.t, q.x - p.x)
+        grid = Grid.covering(p, q, margin=sep + 1.0, n_t=13, n_x=13)
+        profiles = default_dictionary(p, q).profiles
+        names = [f.name.partition("[")[0] for f in profiles]
+        verdicts = [is_causal_function(f, grid) for f in profiles]
+        assert names == ["const"] + ["tanh_boost"] * len(BETAS) + ["bump"] * 2
+        assert verdicts == [True] * (1 + len(BETAS)) + [False] * 2, (p, q)
 
 
 def test_product_symbol_rejects_non_hermitian_input():

@@ -187,18 +187,24 @@ def test_is_causal_function_examples():
     grid = Grid(-1.0, 1.0, -1.0, 1.0, 11, 11)
     assert is_causal_function(affine_field(1.0, 0.0), grid)
     assert not is_causal_function(affine_field(0.0, 1.0), grid)
-    arctan_t = ScalarField(
-        value=lambda e: math.atan(e.t),
-        gradient=lambda e: (1.0 / (1.0 + e.t * e.t), 0.0),
-    )
+    arctan_t = ScalarField(lambda t, x: (np.arctan(t), 1.0 / (1.0 + t * t), np.zeros_like(t)))
     assert is_causal_function(arctan_t, grid)
 
 
 def test_is_causal_function_rejects_bad_gradient():
     grid = Grid(-1.0, 1.0, -1.0, 1.0, 5, 5)
-    lying = ScalarField(value=lambda e: e.t, gradient=lambda e: (2.0, 0.0))
+    lying = ScalarField(lambda t, x: (t, np.full_like(t, 2.0), np.zeros_like(t)))
     with pytest.raises(GradientMismatch):
         is_causal_function(lying, grid)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_gradient_check_rejects_non_finite_differences():
+    # the values overflow, so every difference is inf - inf = nan: the supplied
+    # gradient, off by a factor 2e299, cannot be confirmed
+    overflowing = ScalarField(lambda t, x: (1e300 * t, np.full_like(t, 5.0), np.zeros_like(t)))
+    with pytest.raises(GradientMismatch):
+        is_causal_function(overflowing, Grid(1e10, 2e10, 0.0, 1.0, 3, 3))
 
 
 def test_is_steep_function_examples():
@@ -213,7 +219,7 @@ def test_is_steep_function_examples():
 
 def test_is_steep_function_rejects_bad_gradient():
     grid = Grid(-1.0, 1.0, -1.0, 1.0, 5, 5)
-    lying = ScalarField(value=lambda e: 2.0 * e.t, gradient=lambda e: (3.0, 0.0))
+    lying = ScalarField(lambda t, x: (2.0 * t, np.full_like(t, 3.0), np.zeros_like(t)))
     with pytest.raises(GradientMismatch):
         is_steep_function(lying, grid)
 
@@ -292,13 +298,14 @@ def test_functional_certifies_exactly_the_rapidities_it_evaluated(monkeypatch):
         checked.clear()
         certified.clear()
         lorentz_distance_functional(E(0, 0), q)
-        assert len(certified) == 1
-        betas = np.array(evaluated)
-        assert np.all(np.abs(betas) <= spacetime.BOOST_CAP)
+        assert len(certified) == 1 and len(evaluated) == 1
+        beta = evaluated[0]
+        assert abs(beta) <= spacetime.BOOST_CAP
+        # one member, certified at all nine rectangle events
         gt, gx = certified[0]
-        assert len(gt) == len(betas) == 1
-        assert set(zip(gt, gx)) == set(zip(np.cosh(betas).tolist(), np.sinh(betas).tolist()))
-        # the same member was gradient-checked at all nine rectangle events
+        assert len(gt) == 9
+        assert set(zip(gt, gx)) == {(math.cosh(beta), math.sinh(beta))}
+        # the same gradients were checked against finite differences there
         assert checked == [(gt, gx, 9)]
 
 
@@ -335,21 +342,29 @@ def test_rapidity_sweep_never_goes_below_the_functional():
 
 
 def test_functional_value_is_the_gain_at_the_certified_rapidity(monkeypatch):
-    certified = []
-    family_is_steep = spacetime._boost_family_is_steep
+    fields, certified = [], []
+    field, certificate = spacetime.boost_field, spacetime._steep_certificate
 
-    def spy(betas, grid):
-        certified.append(betas.tolist())
-        return family_is_steep(betas, grid)
+    def spy_field(beta):
+        fields.append(beta)
+        return field(beta)
 
-    monkeypatch.setattr(spacetime, "_boost_family_is_steep", spy)
+    def spy_certificate(gt, gx):
+        certified.append(set(zip(gt.tolist(), gx.tolist())))
+        return certificate(gt, gx)
+
+    monkeypatch.setattr(spacetime, "boost_field", spy_field)
+    monkeypatch.setattr(spacetime, "_steep_certificate", spy_certificate)
     for p, q in _sweep_pairs():
+        fields.clear()
         certified.clear()
         got = lorentz_distance_functional(p, q)
-        assert len(certified) == 1 and len(certified[0]) == 1
+        assert len(fields) == 1 and len(certified) == 1
+        beta = fields[0]
+        assert certified[0] == {(math.cosh(beta), math.sinh(beta))}
         dt, dx = q.t - p.t, q.x - p.x
         u, v = dt + dx, dt - dx
-        gain = spacetime._boost_gain(u, v, certified[0][0])
+        gain = spacetime._boost_gain(u, v, beta)
         if u > 0.0 and v > 0.0:
             assert got == gain, (p, q)
         else:
@@ -361,17 +376,10 @@ def test_functional_value_is_the_gain_at_the_certified_rapidity(monkeypatch):
 def test_causal_functions_form_a_convex_cone():
     grid = Grid(-1.0, 1.0, -1.0, 1.0, 9, 9)
     f = boost_field(0.7)
-    g = ScalarField(
-        value=lambda e: math.atan(e.t),
-        gradient=lambda e: (1.0 / (1.0 + e.t * e.t), 0.0),
-    )
+    g = ScalarField(lambda t, x: (np.arctan(t), 1.0 / (1.0 + t * t), np.zeros_like(t)))
     for lam in (0.0, 0.5, 3.0):
         combo = ScalarField(
-            value=lambda e, lam=lam: lam * f.value(e) + g.value(e),
-            gradient=lambda e, lam=lam: (
-                lam * f.gradient(e)[0] + g.gradient(e)[0],
-                lam * f.gradient(e)[1] + g.gradient(e)[1],
-            ),
+            lambda t, x, lam=lam: tuple(lam * a + b for a, b in zip(f.jet(t, x), g.jet(t, x)))
         )
         assert is_causal_function(combo, grid)
 
@@ -487,9 +495,24 @@ def test_distances_beyond_the_double_range_raise():
         lambda: lorentzian_distance(p, q),
         lambda: lorentz_distance_functional(p, q),
         lambda: max_proper_time(p, q, 3),
+        lambda: proper_time(Curve((p, E(0.0, 0.0), q))),  # two finite pieces
     ):
         with pytest.raises(CoordinateOverflow):
             value()
+
+
+@pytest.mark.parametrize(
+    "p, q, want",
+    [
+        (E(1e300, 0.0), E(1e300, 1.0), 0.0),  # spacelike, certified at beta = -cap
+        (E(-1e300, 2.0), E(-1e300, 1.0), 0.0),
+        (E(0.0, 1.7976931348623157e308), E(1.0, 1.7976931348623157e308), 1.0),  # beta = 0
+    ],
+)
+def test_functional_far_from_the_origin(p, q, want):
+    # the certified member's values overflow on the rectangle around the
+    # pair; being linear, it is certified on the scaled pair's rectangle
+    assert lorentz_distance_functional(p, q) == want
 
 
 def test_overflowing_differences_keep_the_causal_order():
