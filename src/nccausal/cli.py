@@ -21,7 +21,7 @@ from .errors import (
     ZeroVector,
 )
 from .finite_geometry import latitude, spectral_distance
-from .product_causality import causally_related, reachable_longitudes
+from .product_causality import causally_related, reachable_grid, reachable_longitudes
 from .scene import Scene, default_scene, load_scene
 from .spacetime import Event, Grid, lorentz_distance_functional, lorentzian_distance
 from .verify import SUITE_NAMES, run_suites
@@ -48,9 +48,7 @@ def _fmt(v: float) -> str:
 
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write("\n".join([header, *rows, ""]))
 
 
 def _load(args: argparse.Namespace) -> Scene:
@@ -122,9 +120,6 @@ def _cmd_reachable(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_REACHABLE_FLAG = {"empty": 0, "arc": 1, "full": 2}
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     scene = _load(args)
     w = scene.state(args.name)
@@ -139,22 +134,24 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     if grid.n_t < 2 or grid.n_x < 2:
         raise SceneError("scan needs a resolution of at least 2 per axis")
+    theta_min, theta_max, flag = reachable_grid(w, grid, scene.dirac)
+    xs = [_fmt(x) for x in grid.x_values()]
     rows = []
-    for t in grid.t_values():
-        for x in grid.x_values():
-            arc = reachable_longitudes(w, Event(t, x), scene.dirac)
-            rows.append(
-                f"{_fmt(t)},{_fmt(x)},{_fmt(arc.theta_min)},{_fmt(arc.theta_max)},"
-                f"{_REACHABLE_FLAG[arc.kind]}"
-            )
+    for i, t in enumerate(grid.t_values()):
+        head = _fmt(t)
+        line = slice(i * grid.n_x, (i + 1) * grid.n_x)
+        arcs = zip(xs, theta_min[line].tolist(), theta_max[line].tolist(), flag[line].tolist())
+        # every empty row has the one tail 0,0,0; the others are formatted as
+        # _fmt does, full circles too, so that a row's cost does not depend
+        # on the arc's width
+        for x, lo, hi, f in arcs:
+            rows.append(f"{head},{x},{lo:.17g},{hi:.17g},{f}" if f else f"{head},{x},0,0,0")
     header = "t,x,theta_min,theta_max,reachable"
     if args.out:
         _write_csv(args.out, header, rows)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        print(header)
-        for row in rows:
-            print(row)
+        print("\n".join([header, *rows]))
     return EXIT_OK
 
 

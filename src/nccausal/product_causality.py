@@ -13,6 +13,10 @@ dictionary atoms in ascending order of their evaluation gap and returns the
 first one whose symbol is certified negative semidefinite on the grid. The
 dictionary's profiles are spacetime scalar fields, and each one's jet is
 tabulated over the grid in one array call.
+
+Reachable arcs have two entry points with one closed form: one event at a
+time (the API of single answers, and the tests' oracle) and a whole grid in
+one array pass, which `scan` uses.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .spacetime import (
     Grid,
     ScalarField,
     _chord,
+    causal_future,
     causally_precedes,
     lorentzian_distance,
 )
@@ -254,6 +259,28 @@ def reachable_longitudes(w: ProductState, q: Event, df: FiniteDirac) -> Longitud
     if half >= math.pi:
         return LongitudeArc.full(center)
     return LongitudeArc.partial(center, half)
+
+
+def reachable_grid(
+    w: ProductState, grid: Grid, df: FiniteDirac
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`reachable_longitudes` at every event of the grid, t-major, as
+    three flat arrays: theta_min, theta_max and the kind as a flag (0 empty,
+    1 arc, 2 full), bit for bit the scalar answers and errors."""
+    if is_pole(w.internal):
+        raise PoleState("no internal motion is possible at a pole")
+    precedes, tau = causal_future(w.event, grid)
+    center = longitude(w.internal)
+    with np.errstate(over="ignore"):
+        half = speed_bound(df) * tau
+    full = half >= math.pi
+    half = np.where(full, math.pi, half)
+    flag = np.where(precedes, np.where(full, 2, 1), 0)
+    return (
+        np.where(precedes, center - half, 0.0),
+        np.where(precedes, center + half, 0.0),
+        flag,
+    )
 
 
 @dataclass(frozen=True)

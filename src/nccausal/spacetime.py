@@ -89,6 +89,37 @@ def lorentzian_distance(p: Event, q: Event) -> float:
     return math.sqrt(max(interval, 0.0))
 
 
+def causal_future(p: Event, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`causally_precedes` and :func:`lorentzian_distance` from p to
+    every event of the grid, t-major, as two flat arrays.
+
+    The same formulas element by element, bit for bit: rows whose squared
+    interval is not finite, or whose two differences both overflow, are
+    worked on at 2**-RESCALE_EXP scale, and the first distance beyond the
+    double range, in t-major order, raises :class:`CoordinateOverflow`.
+    """
+    t, x = grid.coordinates()
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt, dx = t - p.t, x - p.x
+        adx = np.abs(dx)
+        interval = dt * dt - dx * dx
+        precedes = dt >= adx
+        tau = np.where(precedes, np.sqrt(np.maximum(interval, 0.0)), 0.0)
+        big = precedes & ~np.isfinite(interval)
+        if big.any():
+            s = _scaled(p)
+            sdt = np.ldexp(t[big], -RESCALE_EXP) - s.t
+            sdx = np.ldexp(x[big], -RESCALE_EXP) - s.x
+            both_inf = np.isinf(dt[big]) & np.isinf(adx[big])
+            precedes[big] = np.where(both_inf, sdt >= np.abs(sdx), True)
+            stau = np.sqrt(np.maximum(sdt * sdt - sdx * sdx, 0.0))
+            tau[big] = np.ldexp(stau, RESCALE_EXP)
+            over = np.isinf(tau[big])
+            if over.any():
+                _unscaled(float(stau[np.argmax(over)]))  # raises CoordinateOverflow
+    return precedes, tau
+
+
 @dataclass(frozen=True)
 class Curve:
     """Piecewise-linear curve; segments are validated when proper time is taken."""
@@ -192,6 +223,14 @@ def boost_field(beta: float) -> ScalarField:
     return affine_field(math.cosh(beta), math.sinh(beta))
 
 
+def _axis(lo: float, hi: float, n: int) -> list[float]:
+    """The n evenly spaced values from lo to hi of one grid axis."""
+    if n == 1:
+        return [lo]
+    h = (hi - lo) / (n - 1)
+    return [lo + h * i for i in range(n)]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform rectangular sample of events; rows iterate t-major."""
@@ -208,18 +247,17 @@ class Grid:
             raise ValueError("grid needs at least one point per axis")
         if self.t_max < self.t_min or self.x_max < self.x_min:
             raise ValueError("grid bounds are inverted")
+        # the last value of an axis is its largest; rounding can carry it past
+        # the double range even when both bounds are finite
+        ends = (self.t_values()[-1], self.x_values()[-1])
+        if not all(map(math.isfinite, (self.t_min, self.t_max, self.x_min, self.x_max, *ends))):
+            raise ValueError("grid bounds and coordinates must be finite")
 
     def t_values(self) -> list[float]:
-        if self.n_t == 1:
-            return [self.t_min]
-        h = (self.t_max - self.t_min) / (self.n_t - 1)
-        return [self.t_min + h * i for i in range(self.n_t)]
+        return _axis(self.t_min, self.t_max, self.n_t)
 
     def x_values(self) -> list[float]:
-        if self.n_x == 1:
-            return [self.x_min]
-        h = (self.x_max - self.x_min) / (self.n_x - 1)
-        return [self.x_min + h * i for i in range(self.n_x)]
+        return _axis(self.x_min, self.x_max, self.n_x)
 
     def events(self) -> list[Event]:
         return [Event(t, x) for t in self.t_values() for x in self.x_values()]
@@ -253,20 +291,36 @@ class Grid:
         )
 
 
+def _difference(hi, lo, mid, h):
+    """(hi - lo) / 2h, the central difference of the values a step h above
+    and below, except where one of them is not finite: there the difference
+    is one-sided, from the value mid between them (nan where neither is)."""
+    up, down = np.isfinite(hi), np.isfinite(lo)
+    return (np.where(up, hi, mid) - np.where(down, lo, mid)) / ((1.0 * up + down) * h)
+
+
 def _check_gradients(value, gt, gx, t, x) -> None:
     """Raise :class:`GradientMismatch` at the first event where the supplied
     gradient (gt, gx) disagrees with central finite differences of
     ``value(t, x)``, an array function of the event coordinates.
 
-    All arguments broadcast together, so one call checks a whole family of
-    gradients at every event. The step is ``FD_STEP * max(1, |t|, |x|)`` per
-    event, so that far from the origin the difference of the two values still
-    stands well above their rounding error. Where a difference is not
-    finite, the gradient cannot be confirmed and counts as a mismatch.
+    t and x are the coordinates of the events, two flat arrays of one length;
+    the gradient broadcasts against them, so one call checks a whole family
+    of gradients at every event. The step is ``FD_STEP * max(1, |t|, |x|)``
+    per event, so that far from the origin the difference of the two values
+    still stands well above their rounding error. The event and its four
+    steps are evaluated in one call of ``value``. Where a step leaves the
+    double range, in the coordinate or in the value, the difference is
+    one-sided. Where a difference is not finite, the gradient cannot be
+    confirmed and counts as a mismatch.
     """
     h = FD_STEP * np.maximum(1.0, np.maximum(np.abs(t), np.abs(x)))
-    fdt = (value(t + h, x) - value(t - h, x)) / (2.0 * h)
-    fdx = (value(t, x + h) - value(t, x - h)) / (2.0 * h)
+    n = len(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = value(np.concatenate([t + h, t - h, t, t, t]), np.concatenate([x, x, x + h, x - h, x]))
+        t_up, t_down, x_up, x_down, mid = (v[..., k * n : (k + 1) * n] for k in range(5))
+        fdt = _difference(t_up, t_down, mid, h)
+        fdx = _difference(x_up, x_down, mid, h)
     tol = np.maximum(1e-5, 1e-3 * np.hypot(gt, gx))
     # nan compares False, so a non-finite difference counts as a mismatch
     t, x, bad = np.broadcast_arrays(t, x, ~(np.hypot(fdt - gt, fdx - gx) <= tol))

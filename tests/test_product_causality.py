@@ -35,6 +35,7 @@ from nccausal import (
     make_state,
     minimal_angle_gap,
     product_symbol,
+    reachable_grid,
     reachable_longitudes,
     separating_element_search,
     speed_bound,
@@ -366,6 +367,64 @@ def test_reachable_longitudes_pole_raises():
     w = ProductState(E(0, 0), make_state([1.0, 0.0]))
     with pytest.raises(PoleState):
         reachable_longitudes(w, E(1, 0), df)
+    with pytest.raises(PoleState):
+        reachable_grid(w, Grid(0.0, 1.0, 0.0, 1.0, 2, 2), df)
+
+
+def _reachable_oracle(w, grid, df):
+    """reachable_longitudes event by event, t-major, in the layout of
+    reachable_grid."""
+    arcs = [reachable_longitudes(w, e, df) for e in grid.events()]
+    flags = {"empty": 0, "arc": 1, "full": 2}
+    return (
+        [a.theta_min for a in arcs],
+        [a.theta_max for a in arcs],
+        [flags[a.kind] for a in arcs],
+    )
+
+
+def _reachable_cases(rng):
+    """(source event, grid) pairs covering every branch of the closed form."""
+    cases = [(E(0.0, 0.0), Grid(0.0, 2.0, -2.0, 2.0, 5, 9))]  # rows on the light cone
+    for _ in range(8):  # rows within a few ulps of it
+        p = E(*rng.uniform(-3.0, 3.0, 2))
+        t = p.t + rng.uniform(0.1, 5.0)
+        x = p.x + rng.choice((-1.0, 1.0)) * (t - p.t)
+        cases.append((p, Grid(t, t, x - 4 * math.ulp(x), x + 4 * math.ulp(x), 1, 9)))
+    for _ in range(10):  # empty rows, arcs and full circles
+        p = E(*rng.uniform(-3.0, 3.0, 2))
+        t_max = p.t + rng.uniform(1.0, 8.0)
+        cases.append((p, Grid(p.t - 1.0, t_max, p.x - 4.0, p.x + 4.0, 13, 17)))
+    # squared intervals overflow, distances do not
+    cases.append((E(-1e200, 3e199), Grid(1e200, 3e200, -2e200, 2e200, 5, 9)))
+    # both differences overflow
+    cases.append((E(-1e308, -1e308), Grid(0.9e308, 1e308, 0.9e308, 1e308, 5, 5)))
+    return cases
+
+
+@pytest.mark.parametrize("gap", [1.0, 2.5])
+def test_reachable_grid_matches_the_scalar_arcs_bit_for_bit(gap):
+    rng = np.random.default_rng(20141)
+    df = FiniteDirac(0.0, gap)
+    flags = set()
+    for p, grid in _reachable_cases(rng):
+        w = ProductState(p, state_on_parallel(rng.uniform(-0.9, 0.9), rng.uniform(-3.0, 3.0)))
+        got = [a.tolist() for a in reachable_grid(w, grid, df)]
+        assert got == list(_reachable_oracle(w, grid, df)), (p, grid)
+        flags.update(got[2])
+    assert flags == {0, 1, 2}
+
+
+def test_reachable_grid_raises_the_first_scalar_overflow():
+    # distances 1.7e308 (rescaled), 2.55e308 and 3.4e308 (both overflow) by row
+    df = FiniteDirac(0.0, 1.0)
+    w = ProductState(E(-1.7e308, 0.0), equator(0.3))
+    grid = Grid(0.0, 1.7e308, -1.0, 1.0, 3, 3)
+    with pytest.raises(CoordinateOverflow) as scalar:
+        _reachable_oracle(w, grid, df)
+    with pytest.raises(CoordinateOverflow) as array:
+        reachable_grid(w, grid, df)
+    assert str(array.value) == str(scalar.value)
 
 
 def test_longitude_arc_window():

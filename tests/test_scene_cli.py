@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ import pytest
 from nccausal.cli import main
 from nccausal.errors import SceneError
 from nccausal.scene import Scene, default_scene, load_scene, save_scene
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -112,7 +116,13 @@ def test_degenerate_scene_file_exit_two(tmp_path, capsys):
     assert run_cli("check", "--scene", str(path), "origin", "timelike") == 2
 
 
-@pytest.mark.parametrize("key, literal", [("n_t", "Infinity"), ("n_x", "1e400")])
+@pytest.mark.parametrize("key, literal", [
+    ("n_t", "Infinity"),
+    ("n_x", "1e400"),
+    ("t_min", "NaN"),
+    ("x_max", "Infinity"),
+    ("t_max", "1e400"),
+])
 def test_scene_grid_overflow_is_an_input_error(key, literal, tmp_path, capsys):
     data = default_scene().to_dict()
     data["grid"][key] = "HUGE"
@@ -214,6 +224,37 @@ def test_scan_flags_cover_empty_arc_and_full(tmp_path):
 
 def test_scan_requires_resolution_two(capsys):
     assert run_cli("scan", "origin", "--nt", "1") == 2
+
+
+def test_scan_matches_the_golden_csv(tmp_path):
+    # the default scene's 41 x 41 grid: empty, arc and full rows
+    out_csv = tmp_path / "scan.csv"
+    assert run_cli("scan", "origin", "--out", str(out_csv)) == 0
+    assert out_csv.read_bytes() == (DATA / "scan_origin.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("scan", "north_pole"), "no internal motion is possible at a pole"),
+    (("scan", "north_pole", "--t-min", "nan"), "grid bounds and coordinates must be finite"),
+    (("scan", "origin", "--x-max", "inf"), "grid bounds and coordinates must be finite"),
+    (("scan", "origin", "--t-min=-1e308", "--t-max", "1e308"), "grid bounds and coordinates"),
+])
+def test_scan_input_errors_exit_two(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scan_overflowing_proper_time_exit_two(tmp_path, capsys):
+    # from t = -1.7e308, the second row of events lies 2.55e308 ahead
+    data = default_scene().to_dict()
+    data["states"][0]["event"] = {"t": -1.7e308, "x": 0.0}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    argv = ("scan", "--scene", str(path), data["states"][0]["name"],
+            "--t-min", "0", "--t-max", "1.7e308", "--nt", "3", "--nx", "3")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a length of 6.1453e+127 * 2**600 exceeds the double range\n"
 
 
 def test_scan_is_deterministic(tmp_path):

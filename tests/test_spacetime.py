@@ -7,6 +7,8 @@ and compass moves of the chord's vertices never beat the chord, and a dense
 rapidity sweep never goes below the functional's value."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from nccausal import spacetime
 from nccausal.verify import random_spacelike_pair, random_timelike_pair
 
 E = Event
+DBL_MAX = sys.float_info.max
 
 
 def test_event_rejects_non_finite():
@@ -205,6 +208,26 @@ def test_gradient_check_rejects_non_finite_differences():
     overflowing = ScalarField(lambda t, x: (1e300 * t, np.full_like(t, 5.0), np.zeros_like(t)))
     with pytest.raises(GradientMismatch):
         is_causal_function(overflowing, Grid(1e10, 2e10, 0.0, 1.0, 3, 3))
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(1.0, DBL_MAX, 0.0, 1.0, 3, 3),
+    Grid(-DBL_MAX, -1.0, 0.0, 1.0, 3, 3),
+    Grid(0.0, 1.0, 1.0, DBL_MAX, 3, 3),
+    Grid(0.0, 1.0, -DBL_MAX, -1.0, 3, 3),
+])
+def test_gradient_check_at_the_largest_doubles(grid):
+    # steps past the double range are taken one-sided, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ct, cx in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.5), (0.5, -0.5)):
+            assert is_causal_function(affine_field(ct, cx), grid) == (ct >= abs(cx))
+        for gt, gx in ((1.01, 0.5), (1.0, 0.505)):  # 1% off
+            lying = ScalarField(
+                lambda t, x, gt=gt, gx=gx: (t + 0.5 * x, np.full_like(t, gt), np.full_like(t, gx))
+            )
+            with pytest.raises(GradientMismatch):
+                is_causal_function(lying, grid)
 
 
 def test_is_steep_function_examples():
@@ -535,6 +558,20 @@ def test_grid_layout_row_major_t_outer():
     assert events[1] == Event(0.0, 10.5)
     assert events[3] == Event(1.0, 10.0)
     assert len(events) == 6
+
+
+@pytest.mark.parametrize("bounds", [
+    (math.nan, 1.0, 0.0, 1.0),
+    (0.0, math.inf, 0.0, 1.0),
+    (0.0, 1.0, -math.inf, 1.0),
+    (0.0, 1.0, 0.0, math.nan),
+    (-DBL_MAX, DBL_MAX, 0.0, 1.0),  # the span overflows
+    (0.0, 1.0, -1e308, 1e308),
+    (0.0, DBL_MAX, 0.0, 1.0),  # DBL_MAX / 3 * 3 rounds past the double range
+])
+def test_grid_rejects_non_finite_coordinates(bounds):
+    with pytest.raises(ValueError):
+        Grid(*bounds, 4, 4)
 
 
 def test_grid_refined_keeps_endpoints():
