@@ -30,7 +30,9 @@ class NotCausallyRelated(ValueError):
 
 
 class CoordinateOverflow(ValueError):
-    """A distance or proper time between finite events exceeds the double range."""
+    """A quantity of finite events exceeds the double range: a distance or
+    proper time between them, a field's value at them, or the separating
+    search's grid and dictionary around them."""
 
 
 class GradientMismatch(ValueError):

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .clifford import ensure_hermitian, standard_basis
-from .errors import GridTooSmall, NonCausalSegment, PoleState
+from .errors import CoordinateOverflow, GridTooSmall, NonCausalSegment, PoleState
 from .finite_geometry import (
     LATITUDE_TOL,
     FiniteDirac,
@@ -527,12 +527,20 @@ def separating_element_search(
     in (k, +/-) order. The first whose symbol is negative semidefinite
     (within ``NSD_TOL``) at every grid event is returned: the certified atom
     with the most negative gap.
+
+    Events so far apart that the default grid or the dictionary's tables
+    leave the double range raise :class:`CoordinateOverflow`.
     """
     p, q = w1.event, w2.event
     dictionary = default_dictionary(p, q)
     sep = math.hypot(q.t - p.t, q.x - p.x)
     if grid is None:
-        grid = Grid.covering(p, q, margin=sep + 1.0, n_t=13, n_x=13)
+        try:
+            grid = Grid.covering(p, q, margin=sep + 1.0, n_t=13, n_x=13)
+        except ValueError as exc:  # its bounds or coordinates left the double range
+            raise CoordinateOverflow(
+                "the search grid around the events exceeds the double range"
+            ) from exc
     else:
         slack = 1e-9
         if (
@@ -545,15 +553,20 @@ def separating_element_search(
                 "grid must cover both events with margin at least their separation"
             )
 
+    # far apart, a bump's squared width or distance overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_p, u_q = (_dictionary_tables(dictionary, e.t, e.x)[0] for e in (p, q))
+        tables = _dictionary_tables(dictionary, *grid.coordinates())
+    if not all(np.isfinite(a).all() for a in (u_p, u_q, tables)):
+        raise CoordinateOverflow("the dictionary's profiles leave the double range")
+
     # gap[k] = w2(u_k H_k) - w1(u_k H_k), the objective of each atom
-    u_p, u_q = (_dictionary_tables(dictionary, e.t, e.x)[0] for e in (p, q))
     h_1, h_2 = (
         np.array([state_eval(w.internal, mat) for mat in _PAULI]) for w in (w1, w2)
     )
     gap = (u_q[:, None] * h_2 - u_p[:, None] * h_1).ravel()
     signed = np.column_stack([gap, -gap]).ravel()  # +u_k H_k at 2k, -u_k H_k at 2k+1
 
-    tables = _dictionary_tables(dictionary, *grid.coordinates())
     blocks = _symbol_blocks(df)
     for i in np.argsort(signed, kind="stable"):
         if signed[i] >= -WITNESS_TOL:

@@ -299,6 +299,14 @@ def _difference(hi, lo, mid, h):
     return (np.where(up, hi, mid) - np.where(down, lo, mid)) / ((1.0 * up + down) * h)
 
 
+def _at_first(t, x, bad) -> str:
+    """The coordinates of the first event flagged in ``bad``, which
+    broadcasts against the flat event coordinates t and x."""
+    t, x, bad = np.broadcast_arrays(t, x, bad)
+    k = int(np.argmax(bad))
+    return f"t={t.flat[k]:g}, x={x.flat[k]:g}"
+
+
 def _check_gradients(value, gt, gx, t, x) -> None:
     """Raise :class:`GradientMismatch` at the first event where the supplied
     gradient (gt, gx) disagrees with central finite differences of
@@ -312,7 +320,9 @@ def _check_gradients(value, gt, gx, t, x) -> None:
     steps are evaluated in one call of ``value``. Where a step leaves the
     double range, in the coordinate or in the value, the difference is
     one-sided. Where a difference is not finite, the gradient cannot be
-    confirmed and counts as a mismatch.
+    confirmed and counts as a mismatch. Where the value at an event is not
+    finite, nothing is left to compare the gradient with:
+    :class:`CoordinateOverflow` is raised instead.
     """
     h = FD_STEP * np.maximum(1.0, np.maximum(np.abs(t), np.abs(x)))
     n = len(t)
@@ -321,21 +331,26 @@ def _check_gradients(value, gt, gx, t, x) -> None:
         t_up, t_down, x_up, x_down, mid = (v[..., k * n : (k + 1) * n] for k in range(5))
         fdt = _difference(t_up, t_down, mid, h)
         fdx = _difference(x_up, x_down, mid, h)
+    if not np.isfinite(mid).all():
+        raise CoordinateOverflow(
+            f"the field's value at {_at_first(t, x, ~np.isfinite(mid))} exceeds the double range"
+        )
     tol = np.maximum(1e-5, 1e-3 * np.hypot(gt, gx))
     # nan compares False, so a non-finite difference counts as a mismatch
-    t, x, bad = np.broadcast_arrays(t, x, ~(np.hypot(fdt - gt, fdx - gx) <= tol))
+    bad = ~(np.hypot(fdt - gt, fdx - gx) <= tol)
     if bad.any():
-        k = int(np.argmax(bad))
         raise GradientMismatch(
-            f"gradient disagrees with finite differences at t={t.flat[k]:g}, x={x.flat[k]:g}"
+            f"gradient disagrees with finite differences at {_at_first(t, x, bad)}"
         )
 
 
 def _checked_gradients(f: ScalarField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Supplied gradient of f at every grid event, validated against central
-    finite differences of its value."""
+    finite differences of its value. A value beyond the double range at a
+    grid event raises :class:`CoordinateOverflow`."""
     t, x = grid.coordinates()
-    _, gt, gx = f.jet(t, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked with the differences
+        _, gt, gx = f.jet(t, x)
     _check_gradients(lambda ts, xs: f.jet(ts, xs)[0], gt, gx, t, x)
     return gt, gx
 

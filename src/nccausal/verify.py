@@ -1,11 +1,13 @@
 """Runnable invariant suites behind the ``verify`` command.
 
-Each suite returns :class:`CheckResult` rows; the CLI prints one line per row
-and can write them as a CSV artifact. All randomness flows from a single seed,
-so repeated runs are bit-identical; ``tests/data/verify_seed42.csv`` pins
-every row. A sample set checked by a library call that takes arrays is drawn
-as one array, in the generator's per-sample order, and checked in one stacked
-call; samples that branch on a draw stay per sample.
+Each suite returns :class:`CheckResult` rows, the package's one registry of
+invariant checks: the CLI prints one line per row and can write them as a
+CSV artifact, and the acceptance tests assert rows by name. All randomness
+flows from a single seed, so repeated runs are bit-identical;
+``tests/data/verify_seed42.csv`` pins every row. A sample set checked by a
+library call that takes arrays is drawn as one array, in the generator's
+per-sample order, and checked in one stacked call; samples that branch on a
+draw stay per sample.
 
 The seeded generators at the top are shared with the test suite.
 """
@@ -33,6 +35,7 @@ from .finite_geometry import (
     parallel_distance_closed_form,
     spectral_distance,
     state_on_parallel,
+    states_close,
     unitary_conjugate,
 )
 from .product_causality import (
@@ -251,7 +254,7 @@ def verify_finite(seed: int, df: FiniteDirac) -> list[CheckResult]:
         s1, s2 = random_parallel_pair(rng)
         got = spectral_distance(df, s1, s2)
         want = parallel_distance_closed_form(df, s1, s2)
-        worst = max(worst, abs((got.value or math.inf) - want))
+        worst = max(worst, abs((math.inf if got.is_infinite else got.value) - want))
     results.append(
         CheckResult("finite", "distance_matches_closed_form", worst <= 1e-12, worst)
     )
@@ -483,13 +486,9 @@ def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
         if (
             causally_related(w1, w2, df).related
             and causally_related(w2, w1, df).related
+            and not (w1.event == w2.event and states_close(w1.internal, w2.internal, 1e-9))
         ):
-            same_event = w1.event == w2.event
-            close = (
-                math.dist(w1.internal.bloch, w2.internal.bloch) <= 1e-9
-            )
-            if not (same_event and close):
-                violations += 1
+            violations += 1
     results.append(
         CheckResult("product", "order_antisymmetric", violations == 0, violations)
     )
@@ -530,8 +529,11 @@ def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
         compared += 1
         if verdict.related != curve_oracle(w1, w2, df, n_segments=6):
             disagreements += 1
+    # a band that excluded most pairs would hide disagreements: it may take a tenth
     results.append(
-        CheckResult("product", "oracle_agreement", disagreements == 0, disagreements)
+        CheckResult(
+            "product", "oracle_agreement", disagreements == 0 and compared >= 900, disagreements
+        )
     )
 
     violations = 0

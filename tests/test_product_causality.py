@@ -657,6 +657,20 @@ def test_separating_search_rejects_small_grid():
         separating_element_search(w1, w2, df, grid=tight)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p, q", [
+    (E(0.0, 0.0), E(1e300, 1e299)),  # the bumps' squared width overflows
+    (E(-1e308, 0.0), E(1e308, 0.0)),  # the separation overflows
+    (E(1e308, 0.0), E(1.5e308, 0.0)),  # the default grid's bounds overflow
+])
+def test_separating_search_far_apart_raises_overflow(p, q):
+    df = FiniteDirac(0.0, 1.0)
+    w1 = ProductState(p, state_on_parallel(0.2, 0.1))
+    w2 = ProductState(q, state_on_parallel(0.5, 0.1))
+    with pytest.raises(CoordinateOverflow):
+        separating_element_search(w1, w2, df)
+
+
 def test_certified_atoms_are_monotone_along_the_order():
     df = FiniteDirac(1.0, 2.0)
     rng = np.random.default_rng(24)

@@ -201,13 +201,32 @@ def test_is_causal_function_rejects_bad_gradient():
         is_causal_function(lying, grid)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_gradient_check_rejects_non_finite_differences():
-    # the values overflow, so every difference is inf - inf = nan: the supplied
-    # gradient, off by a factor 2e299, cannot be confirmed
-    overflowing = ScalarField(lambda t, x: (1e300 * t, np.full_like(t, 5.0), np.zeros_like(t)))
+    # the values at the events (x = 0) are 0, but both x-steps overflow, so
+    # no x-difference is finite: the supplied gradient cannot be confirmed
+    overflowing = ScalarField(
+        lambda t, x: (1e300 * (t * x), np.full_like(t, 5.0), np.zeros_like(t))
+    )
     with pytest.raises(GradientMismatch):
-        is_causal_function(overflowing, Grid(1e10, 2e10, 0.0, 1.0, 3, 3))
+        is_causal_function(overflowing, Grid(1e10, 2e10, 0.0, 0.0, 3, 1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, grid", [
+    # the right gradient; the value at (-DBL_MAX, -DBL_MAX) is -1.5 DBL_MAX
+    (affine_field(1.0, 0.5), Grid(-DBL_MAX, 0.0, -DBL_MAX, 0.0, 3, 3)),
+    # a gradient off by a factor 2e299; the values are about 1e310
+    (
+        ScalarField(lambda t, x: (1e300 * t, np.full_like(t, 5.0), np.zeros_like(t))),
+        Grid(1e10, 2e10, 0.0, 1.0, 3, 3),
+    ),
+])
+def test_field_values_beyond_the_double_range_raise(field, grid):
+    # without a finite value at the event the gradient can be neither
+    # confirmed nor refuted: that is an overflow, not a mismatch
+    for certificate in (is_causal_function, is_steep_function):
+        with pytest.raises(CoordinateOverflow, match="field's value"):
+            certificate(field, grid)
 
 
 @pytest.mark.parametrize("grid", [

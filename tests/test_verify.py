@@ -1,8 +1,10 @@
 """The verify suites themselves: each suite reproduces its own lines of the
-committed seed-42 artifact when run alone, the stacked symbol checks fail
-when a planted fault reaches the functions they call, and the one known
-unsound cone certificate is pinned until the certificate is made sound."""
+committed seed-42 artifact when run alone, the distance and oracle rows fail
+exactly when their checks do, the stacked symbol checks fail when a planted
+fault reaches the functions they call, and the one known unsound cone
+certificate is pinned until the certificate is made sound."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,11 @@ from nccausal import (
     Event,
     Grid,
     causal_symbol,
+    causally_related,
     default_dictionary,
     hermitian_eigenvalues,
     product_symbol,
+    state_on_parallel,
     steep_symbol,
 )
 from nccausal.cli import _fmt
@@ -35,6 +39,30 @@ def test_each_suite_alone_matches_the_golden_rows(suite):
         for r in verify.run_suites(suite, 42, DIRAC)
     ]
     assert got == want
+
+
+def test_distance_row_counts_an_exact_zero_as_zero(monkeypatch):
+    # a state paired with itself is at distance exactly 0.0, which is finite
+    same = state_on_parallel(0.3, 0.7)
+    monkeypatch.setattr(verify, "random_parallel_pair", lambda rng: (same, same))
+    rows = {r.name: r for r in verify.verify_finite(42, DIRAC)}
+    assert rows["distance_matches_closed_form"].passed
+    assert rows["distance_matches_closed_form"].value == 0.0
+
+
+def test_oracle_row_needs_900_compared_pairs(monkeypatch):
+    # every base-causal verdict moved onto the speed limit falls in the
+    # borderline band, so fewer than 900 pairs are compared
+    def on_the_limit(w1, w2, df):
+        verdict = causally_related(w1, w2, df)
+        if verdict.base_causal and verdict.delta_theta is not None:
+            return replace(verdict, theta_budget=verdict.delta_theta)
+        return verdict
+
+    monkeypatch.setattr(verify, "causally_related", on_the_limit)
+    rows = {r.name: r for r in verify.verify_product(42, DIRAC)}
+    assert not rows["oracle_agreement"].passed
+    assert rows["oracle_agreement"].value == 0
 
 
 def _shifted(fn, shift):
