@@ -21,7 +21,12 @@ from .errors import (
     ZeroVector,
 )
 from .finite_geometry import latitude, spectral_distance
-from .product_causality import causally_related, reachable_grid, reachable_longitudes
+from .product_causality import (
+    causally_related,
+    reachable_grid,
+    reachable_longitudes,
+    separating_element_search,
+)
 from .scene import Scene, default_scene, load_scene
 from .spacetime import Event, Grid, lorentz_distance_functional, lorentzian_distance
 from .verify import SUITE_NAMES, run_suites
@@ -77,6 +82,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK
     print("verdict: NotRelated")
     print(f"reason: {verdict.reason.value}")
+    if args.witness:
+        witness = separating_element_search(w1, w2, scene.dirac)
+        if witness is None:
+            print("witness: none")
+        else:
+            print(f"witness: {witness.describe()}")
+            print(f"witness_gap: {_fmt(witness.eval_state(w2) - witness.eval_state(w1))}")
     return EXIT_NOT_RELATED
 
 
@@ -197,6 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check)
     p_check.add_argument("name1")
     p_check.add_argument("name2")
+    p_check.add_argument(
+        "--witness",
+        action="store_true",
+        help="for a NotRelated verdict, print a cone element whose evaluations refute the order",
+    )
     p_check.set_defaults(func=_cmd_check)
 
     p_dist = sub.add_parser("distance", help="internal, lorentzian, or functional distance")

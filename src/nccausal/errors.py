@@ -32,7 +32,7 @@ class NotCausallyRelated(ValueError):
 class CoordinateOverflow(ValueError):
     """A quantity of finite events exceeds the double range: a distance or
     proper time between them, a field's value at them, or the separating
-    search's grid and dictionary around them."""
+    search's witness evaluated at them."""
 
 
 class GradientMismatch(ValueError):

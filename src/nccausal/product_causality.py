@@ -8,11 +8,15 @@ certifying non-causality against the operator cone.
 
 Every symbol comes from one batched assembly: one matrix product of the
 Pauli coordinates of the element's value and gradient at each event with
-twelve constant Hermitian blocks. The separating search scans the signed
-dictionary atoms in ascending order of their evaluation gap and returns the
-first one whose symbol is certified negative semidefinite on the grid. The
-dictionary's profiles are spacetime scalar fields, and each one's jet is
-tabulated over the grid in one array call.
+twelve constant Hermitian blocks. The dictionary's profiles are spacetime
+scalar fields, and each one's jet is tabulated over a grid in one array call.
+
+The separating search answers in closed form, from the first failing clause.
+A base failure is refuted by tanh of a boosted time coordinate times the
+identity, whose symbol has eigenvalues -sech^2 e^-|beta| <= 0 on the whole
+plane; a latitude failure by the constant +-sz, which commutes with D_F and
+so has a zero symbol. A pair whose base is causal and whose latitudes agree
+gets no witness: that search is open.
 
 Reachable arcs have two entry points with one closed form: one event at a
 time (the API of single answers, and the tests' oracle) and a whole grid in
@@ -44,6 +48,7 @@ from .spacetime import (
     Grid,
     ScalarField,
     _chord,
+    _scaled,
     causal_future,
     causally_precedes,
     lorentzian_distance,
@@ -472,7 +477,9 @@ class CausalElement:
     def max_symbol_eigenvalue(self, grid: Grid, df: FiniteDirac) -> float:
         """Largest eigenvalue of the symbol over all grid events."""
         tables = _dictionary_tables(self.dictionary, *grid.coordinates())
-        return _max_eigenvalue(self.coefficients, tables, _symbol_blocks(df))
+        coords = tables @ self.coefficients.reshape(-1, len(_PAULI))
+        symbols = _assemble_symbols(coords, _symbol_blocks(df))
+        return float(np.max(np.linalg.eigvalsh(symbols)[:, -1]))
 
     def is_certified(self, grid: Grid, df: FiniteDirac) -> bool:
         """Membership certificate for the operator cone: the symbol is negative
@@ -492,6 +499,13 @@ class CausalElement:
 
 
 WITNESS_TOL = 1e-6
+# The base witness's rapidity: at least the steepest of BETA_GRID, and that
+# far past the root of the gain. It is capped where the certificate still
+# rounds below NSD_TOL: the symbol's entries grow as cosh(beta) while its
+# largest eigenvalue is -sech^2 e^-|beta|, and from |beta| of about 18 the
+# rounding of the symbol and of its 4x4 eigensolve outweighs it.
+WITNESS_RAPIDITY = 4.0
+WITNESS_BOOST_CAP = 16.0
 
 
 def _dictionary_tables(dictionary: ElementDictionary, t, x) -> np.ndarray:
@@ -502,13 +516,29 @@ def _dictionary_tables(dictionary: ElementDictionary, t, x) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(jets, (0, 1), (-1, -2)))
 
 
-def _max_eigenvalue(
-    coeffs: np.ndarray, tables: np.ndarray, blocks: np.ndarray
-) -> float:
-    """Largest eigenvalue of the symbol of sum_k c_k u_k H_k over the
-    tabulated events."""
-    symbols = _assemble_symbols(tables @ coeffs.reshape(-1, len(_PAULI)), blocks)
-    return float(np.max(np.linalg.eigvalsh(symbols)[:, -1]))
+def _witness_rapidity(p: Event, q: Event) -> float:
+    """Rapidity of the boosted-tanh witness for a pair where p does not
+    precede q.
+
+    In light-cone form, u = dt + dx and v = dt - dx with at least one of them
+    negative, the gain 0.5 * (u e^beta + v e^-beta) of the boosted time falls
+    toward beta = +inf when u < 0 and toward -inf when v < 0; the side with
+    the more negative term is taken. When u and v have opposite signs the
+    gain is negative only past its root 0.5 * ln(-v / u), so the rapidity
+    goes ``WITNESS_RAPIDITY`` past the root, and never closer to 0 than
+    ``WITNESS_RAPIDITY``. The gain is monotone beyond, so no rapidity of
+    ``BETA_GRID`` on that side gives a more negative one. Only the signs of u
+    and v and their ratio matter, so an overflowing pair is scaled.
+    """
+    dt, dx = q.t - p.t, q.x - p.x
+    u, v = dt + dx, dt - dx
+    if not (math.isfinite(u) and math.isfinite(v)):
+        return _witness_rapidity(_scaled(p), _scaled(q))
+    side = 1.0 if u < v else -1.0
+    reach = WITNESS_RAPIDITY
+    if min(u, v) < 0.0 < max(u, v):  # spacelike: past the root on that side
+        reach += max(0.0, side * 0.5 * (math.log(abs(v)) - math.log(abs(u))))
+    return side * min(reach, WITNESS_BOOST_CAP)
 
 
 def separating_element_search(
@@ -517,31 +547,34 @@ def separating_element_search(
     df: FiniteDirac,
     grid: Grid | None = None,
 ) -> Optional[CausalElement]:
-    """Search for a cone element a with w2(a) - w1(a) < -1e-6.
+    """Search for a cone element a with w2(a) - w1(a) < -WITNESS_TOL.
 
-    Such an element proves the states are not causally related. ``None``
-    means no signed dictionary atom is one, which by itself is inconclusive.
+    Such an element proves the states are not causally related. The
+    candidate is a closed form for the first failing clause, in the order of
+    :func:`causally_related`:
 
-    The candidates are the signed atoms +-u_k H_k (the extreme points of the
-    coefficient box), taken in ascending order of their evaluation gap, ties
-    in (k, +/-) order. The first whose symbol is negative semidefinite
-    (within ``NSD_TOL``) at every grid event is returned: the certified atom
-    with the most negative gap.
+    - base order: ``+tanh(t cosh beta + x sinh beta) * id`` centred between
+      the events, at the rapidity of :func:`_witness_rapidity`. Its symbol
+      is -f_t I + f_x (gamma_m (x) I), whose eigenvalues
+      -f_t +- |f_x| = -sech^2 e^-|beta| are <= 0 on the whole plane.
+    - latitude: the constant ``sign(z1 - z2) * sz``, whose symbol is zero
+      because it commutes with D_F; its gap is -|z1 - z2|.
 
-    Events so far apart that the default grid or the dictionary's tables
-    leave the double range raise :class:`CoordinateOverflow`.
+    The candidate is returned when its gap is below ``-WITNESS_TOL``. A pair
+    whose base is causal and whose latitudes agree (a speed-limit failure or
+    a related pair) returns ``None`` at once: no single certified atom of
+    :func:`default_dictionary` separates it, so ``None`` by itself is
+    inconclusive.
+
+    Neither closed form depends on ``df``, and no work depends on ``grid``.
+    When a grid is passed it must cover both events with margin at least
+    their separation, or :class:`GridTooSmall` is raised. A base witness
+    whose evaluation leaves the double range raises
+    :class:`CoordinateOverflow`.
     """
     p, q = w1.event, w2.event
-    dictionary = default_dictionary(p, q)
-    sep = math.hypot(q.t - p.t, q.x - p.x)
-    if grid is None:
-        try:
-            grid = Grid.covering(p, q, margin=sep + 1.0, n_t=13, n_x=13)
-        except ValueError as exc:  # its bounds or coordinates left the double range
-            raise CoordinateOverflow(
-                "the search grid around the events exceeds the double range"
-            ) from exc
-    else:
+    if grid is not None:
+        sep = math.hypot(q.t - p.t, q.x - p.x)
         slack = 1e-9
         if (
             grid.t_min > min(p.t, q.t) - sep + slack
@@ -553,27 +586,20 @@ def separating_element_search(
                 "grid must cover both events with margin at least their separation"
             )
 
-    # far apart, a bump's squared width or distance overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_p, u_q = (_dictionary_tables(dictionary, e.t, e.x)[0] for e in (p, q))
-        tables = _dictionary_tables(dictionary, *grid.coordinates())
-    if not all(np.isfinite(a).all() for a in (u_p, u_q, tables)):
-        raise CoordinateOverflow("the dictionary's profiles leave the double range")
-
-    # gap[k] = w2(u_k H_k) - w1(u_k H_k), the objective of each atom
-    h_1, h_2 = (
-        np.array([state_eval(w.internal, mat) for mat in _PAULI]) for w in (w1, w2)
-    )
-    gap = (u_q[:, None] * h_2 - u_p[:, None] * h_1).ravel()
-    signed = np.column_stack([gap, -gap]).ravel()  # +u_k H_k at 2k, -u_k H_k at 2k+1
-
-    blocks = _symbol_blocks(df)
-    for i in np.argsort(signed, kind="stable"):
-        if signed[i] >= -WITNESS_TOL:
-            break
-        k, minus = divmod(int(i), 2)
-        c = np.zeros(dictionary.size)
-        c[k] = -1.0 if minus else 1.0
-        if _max_eigenvalue(c, tables, blocks) <= NSD_TOL:
-            return CausalElement(dictionary=dictionary, coefficients=c)
-    return None
+    # the clause order of causally_related, without the distance that only
+    # the speed clause needs
+    if not causally_precedes(p, q):
+        tc, xc = 0.5 * p.t + 0.5 * q.t, 0.5 * p.x + 0.5 * q.x
+        profile = _boost_tanh_profile(_witness_rapidity(p, q), tc, xc)
+        coefficients = [1.0, 0.0, 0.0, 0.0]
+    elif abs(latitude(w1.internal) - latitude(w2.internal)) > LATITUDE_TOL:
+        profile = _const_profile()
+        sign = math.copysign(1.0, latitude(w1.internal) - latitude(w2.internal))
+        coefficients = [0.0, sign, 0.0, 0.0]
+    else:
+        return None
+    witness = CausalElement(ElementDictionary((profile,)), np.array(coefficients))
+    gap = witness.eval_state(w2) - witness.eval_state(w1)
+    if not math.isfinite(gap):
+        raise CoordinateOverflow("the witness's values leave the double range")
+    return witness if gap < -WITNESS_TOL else None

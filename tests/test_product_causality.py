@@ -32,6 +32,7 @@ from nccausal import (
     curve_oracle,
     default_dictionary,
     is_causal_function,
+    latitude,
     make_state,
     minimal_angle_gap,
     product_symbol,
@@ -572,7 +573,8 @@ def test_separating_search_related_pair_finds_nothing():
 def reference_atom_search(w1, w2, df):
     """Every signed atom of the default dictionary, brute force: its gap
     w2(a) - w1(a) and the largest eigenvalue of its reference symbol over
-    the search's default grid, as (k, sign, gap, lam) in (k, +/-) order.
+    the 13x13 grid covering both events with margin their separation plus 1,
+    as (k, sign, gap, lam) in (k, +/-) order.
 
     ``reference_symbol`` is linear in (a, da/dt, da/dx), so the symbol of
     u H at an event is u, du/dt and du/dx times its images of (H, 0, 0),
@@ -604,7 +606,10 @@ def reference_atom_search(w1, w2, df):
 @pytest.mark.parametrize(
     "df, seed", [(FiniteDirac(1.0, 2.0), 29), (FiniteDirac(0.5, -1.5), 30)]
 )
-def test_separating_search_returns_the_best_certified_atom(df, seed):
+def test_separating_search_beats_the_best_reference_atom(df, seed):
+    # base pairs: no +tanh_boost*id atom of BETAS separates them further;
+    # latitude pairs: the gap is -|z1 - z2|, that of the best const +-sz atom;
+    # speed and related pairs: no witness
     rng = np.random.default_rng(seed)
     wanted = {"latitude": 3, "base": 3, "speed": 3, "related": 3}
     while any(wanted.values()):
@@ -617,35 +622,23 @@ def test_separating_search_returns_the_best_certified_atom(df, seed):
         if not wanted[kind]:
             continue
         wanted[kind] -= 1
-        atoms = reference_atom_search(w1, w2, df)
-        certified = [a for a in atoms if a[2] < -1e-6 and a[3] <= 1e-9]
         witness = separating_element_search(w1, w2, df)
-        if not certified:
+        if kind in ("speed", "related"):
             assert witness is None, kind
             continue
-        # the most negative gap; min keeps the first of equal gaps
-        k, sign, gap, _ = min(certified, key=lambda a: a[2])
         assert witness is not None, kind
-        want = np.zeros(len(atoms) // 2)
-        want[k] = sign
-        assert np.array_equal(witness.coefficients, want), kind
-        assert abs(witness.eval_state(w2) - witness.eval_state(w1) - gap) <= 1e-12
-
-
-def test_separating_search_breaks_ties_in_atom_order():
-    # far apart, the steeper boosted tanh profiles saturate at exactly +-1,
-    # so six certified atoms tie exactly at the most negative gap, about -2
-    df = FiniteDirac(1.0, 2.0)
-    w1 = ProductState(E(10.0, 0.0), equator(0.0))
-    w2 = ProductState(E(-10.0, 0.0), equator(0.0))
-    certified = [a for a in reference_atom_search(w1, w2, df) if a[3] <= 1e-9]
-    least = min(a[2] for a in certified)
-    best = [a for a in certified if a[2] == least]
-    assert len(best) == 6 and abs(least + 2.0) <= 1e-12
-    witness = separating_element_search(w1, w2, df)
-    assert witness is not None
-    assert witness.describe() == "+1*tanh_boost[1.5]@(0,0)*id"
-    assert np.flatnonzero(witness.coefficients).tolist() == [best[0][0]]
+        gap = witness.eval_state(w2) - witness.eval_state(w1)
+        atoms = reference_atom_search(w1, w2, df)
+        if kind == "base":
+            # atom k is profile k // 4 times Pauli k % 4; profiles 1..9 are
+            # the boosted tanh profiles
+            tanh_id = [a[2] for a in atoms if a[1] > 0 and a[0] % 4 == 0
+                       and 1 <= a[0] // 4 <= len(BETAS)]
+            assert gap <= min(tanh_id) + 1e-12
+        else:
+            const_sz = [a[2] for a in atoms if a[0] == 1]
+            zgap = abs(latitude(w1.internal) - latitude(w2.internal))
+            assert abs(gap - min(const_sz)) <= 1e-12 and abs(gap + zgap) <= 1e-12
 
 
 def test_separating_search_rejects_small_grid():
@@ -659,14 +652,45 @@ def test_separating_search_rejects_small_grid():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p, q", [
-    (E(0.0, 0.0), E(1e300, 1e299)),  # the bumps' squared width overflows
+    (E(0.0, 0.0), E(1e300, 1e299)),  # their separation's square overflows
     (E(-1e308, 0.0), E(1e308, 0.0)),  # the separation overflows
-    (E(1e308, 0.0), E(1.5e308, 0.0)),  # the default grid's bounds overflow
+    (E(1e308, 0.0), E(1.5e308, 0.0)),  # the sum of their coordinates overflows
 ])
-def test_separating_search_far_apart_raises_overflow(p, q):
+def test_separating_search_far_apart_latitude_pairs(p, q):
     df = FiniteDirac(0.0, 1.0)
     w1 = ProductState(p, state_on_parallel(0.2, 0.1))
     w2 = ProductState(q, state_on_parallel(0.5, 0.1))
+    witness = separating_element_search(w1, w2, df)
+    assert witness.describe() == "-1*const*sz"
+    assert witness.eval_state(w2) - witness.eval_state(w1) == pytest.approx(-0.3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p, q", [
+    (E(1e308, 0.0), E(-1e308, 0.0)),  # past-directed, the separation overflows
+    (E(0.0, 0.0), E(1e300, 1e301)),  # spacelike, its square overflows
+    (E(-1e308, -1e308), E(-1e308, 1e308)),  # spacelike, the separation overflows
+])
+def test_separating_search_far_apart_base_pairs(p, q):
+    df = FiniteDirac(0.0, 1.0)
+    w1 = ProductState(p, state_on_parallel(0.2, 0.1))
+    w2 = ProductState(q, state_on_parallel(0.2, 0.1))
+    witness = separating_element_search(w1, w2, df)
+    assert witness.describe().startswith("+1*tanh_boost[")
+    assert witness.eval_state(w2) - witness.eval_state(w1) == pytest.approx(-2.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p, q", [
+    (E(-1e308, 1e308), E(1e308, -1.1e308)),
+    (E(-1e308, -1e308), E(1e308, 1.1e308)),
+    (E(-5e307, 5e307), E(1e308, -1.5e308)),
+])
+def test_separating_search_far_apart_raises_overflow(p, q):
+    # spacelike pairs whose boosted time at the events is inf - inf
+    df = FiniteDirac(0.0, 1.0)
+    w1 = ProductState(p, state_on_parallel(0.2, 0.1))
+    w2 = ProductState(q, state_on_parallel(0.2, 0.1))
     with pytest.raises(CoordinateOverflow):
         separating_element_search(w1, w2, df)
 

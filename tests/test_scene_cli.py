@@ -103,6 +103,32 @@ def test_check_not_related_exit_ten(capsys):
     assert "reason: speed" in out
 
 
+@pytest.mark.parametrize("name, witness, gap", [
+    ("spacelike", "+1*tanh_boost[-4]@(0,0.75)*id", -2.0),
+    ("north_pole", "-1*const*sz", -1.0),
+])
+def test_check_witness_prints_the_refuting_element(name, witness, gap, capsys):
+    assert run_cli("check", "--witness", "origin", name) == 10
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"witness: {witness}"
+    key, value = lines[-1].split(": ")
+    assert key == "witness_gap" and float(value) == pytest.approx(gap, abs=1e-12)
+
+
+def test_check_witness_is_none_for_the_speed_clause(capsys):
+    assert run_cli("check", "--witness", "origin", "fast_rotation") == 10
+    out = capsys.readouterr().out
+    assert "reason: speed" in out
+    assert out.splitlines()[-1] == "witness: none"
+
+
+def test_check_prints_a_witness_only_when_asked_and_not_related(capsys):
+    assert run_cli("check", "--witness", "origin", "timelike") == 0
+    assert "witness" not in capsys.readouterr().out
+    assert run_cli("check", "origin", "spacelike") == 10
+    assert "witness" not in capsys.readouterr().out
+
+
 def test_check_unknown_name_exit_two(capsys):
     assert run_cli("check", "origin", "nope") == 2
     assert "error:" in capsys.readouterr().err

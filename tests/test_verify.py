@@ -19,6 +19,7 @@ from nccausal import (
     causally_related,
     default_dictionary,
     hermitian_eigenvalues,
+    lorentzian_distance,
     product_symbol,
     state_on_parallel,
     steep_symbol,
@@ -63,6 +64,17 @@ def test_oracle_row_needs_900_compared_pairs(monkeypatch):
     rows = {r.name: r for r in verify.verify_product(42, DIRAC)}
     assert not rows["oracle_agreement"].passed
     assert rows["oracle_agreement"].value == 0
+
+
+def test_triangle_row_counts_past_directed_distances(monkeypatch):
+    # a distance positive on past-directed pairs breaks d(q, p) = 0 only
+    def symmetric(p, q):
+        return lorentzian_distance(*sorted((p, q), key=lambda e: e.t))
+
+    monkeypatch.setattr(verify, "lorentzian_distance", symmetric)
+    rows = {r.name: r for r in verify.verify_spacetime(42)}
+    assert not rows["reverse_triangle_inequality"].passed
+    assert rows["reverse_triangle_inequality"].value > 0
 
 
 def _shifted(fn, shift):
