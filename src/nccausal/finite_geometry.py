@@ -143,10 +143,15 @@ def states_close(s1: InternalState, s2: InternalState, tol: float) -> bool:
 
 
 def state_eval(s: InternalState, a: np.ndarray) -> float:
-    """Evaluation of the state on a Hermitian element: xi* a xi."""
+    """Evaluation of the state on a Hermitian element, xi* a xi, in Bloch form
+    0.5 (a00 + a11) + 0.5 (a00 - a11) z + Re(a01) x - Im(a01) y: exactly 1 on
+    the identity and exactly z on sz."""
     a = ensure_hermitian(a)
-    v = _state_vector(s)
-    return float(np.real(v.conj() @ a @ v))
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+    x, y, z = s.bloch
+    a00, a11, a01 = a[0, 0].real, a[1, 1].real, a[0, 1]
+    return float(0.5 * (a00 + a11) + 0.5 * (a00 - a11) * z + a01.real * x - a01.imag * y)
 
 
 def commutator_norm(df: FiniteDirac, a: np.ndarray) -> float:

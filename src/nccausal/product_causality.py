@@ -8,8 +8,10 @@ certifying non-causality against the operator cone.
 
 Every symbol comes from one batched assembly: one matrix product of the
 Pauli coordinates of the element's value and gradient at each event with
-twelve constant Hermitian blocks. The dictionary's profiles are spacetime
-scalar fields, and each one's jet is tabulated over a grid in one array call.
+twelve constant Hermitian blocks. A cone element is one spacetime scalar
+field times one constant Hermitian matrix, so its symbols over a grid are
+the field's jet, tabulated in one array call, times the matrix's Pauli
+coordinates.
 
 The separating search answers in closed form, from the first failing clause.
 A base failure is refuted by tanh of a boosted time coordinate times the
@@ -44,6 +46,7 @@ from .finite_geometry import (
     state_eval,
 )
 from .spacetime import (
+    NSD_TOL,
     Event,
     Grid,
     ScalarField,
@@ -56,7 +59,6 @@ from .spacetime import (
 
 SPEED_SLACK = 1e-12
 ORACLE_SLACK = 1e-3
-NSD_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
 _PAULI_NAMES = ("id", "sz", "sx", "sy")
@@ -381,7 +383,7 @@ def curve_oracle(
 
 
 # --------------------------------------------------------------------------
-# Separating elements: dictionary, cone certification, and the search
+# Separating elements: profiles, cone certification, and the search
 # --------------------------------------------------------------------------
 
 
@@ -408,77 +410,26 @@ def _boost_tanh_profile(beta: float, tc: float = 0.0, xc: float = 0.0) -> Scalar
     return ScalarField(jet, f"tanh_boost[{beta:g}]@({tc:g},{xc:g})")
 
 
-def _bump_profile(tc: float, xc: float, width: float) -> ScalarField:
-    w2 = width * width
-
-    def jet(t, x):
-        dt = t - tc
-        dx = x - xc
-        u = np.exp(-(dt * dt + dx * dx) / (2.0 * w2))
-        return u, -dt / w2 * u, -dx / w2 * u
-
-    return ScalarField(jet, f"bump[{tc:g},{xc:g};{width:g}]")
-
-
-@dataclass(frozen=True, eq=False)
-class ElementDictionary:
-    """Profiles times the Pauli basis (id, sz, sx, sy); atom k is profile
-    k // 4 times Pauli matrix k % 4. Each profile is a bounded scalar field."""
-
-    profiles: tuple[ScalarField, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.profiles) * len(_PAULI)
-
-    def atom_name(self, k: int) -> str:
-        i, j = divmod(k, len(_PAULI))
-        return f"{self.profiles[i].name}*{_PAULI_NAMES[j]}"
-
-
-BETA_GRID = (0.0, 0.75, -0.75, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
-
-
-def default_dictionary(p: Event, q: Event) -> ElementDictionary:
-    """Profiles: the constant, tanh of boosted time coordinates (rapidities
-    ``BETA_GRID``), and bumps centered between the two events."""
-    sep = math.hypot(q.t - p.t, q.x - p.x)
-    width = max(sep, 1.0)
-    tc, xc = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
-    profiles = (
-        [_const_profile()]
-        + [_boost_tanh_profile(b, tc, xc) for b in BETA_GRID]
-        + [_bump_profile(tc, xc, width), _bump_profile(tc, xc, 0.5 * width)]
-    )
-    return ElementDictionary(profiles=tuple(profiles))
-
-
 @dataclass(frozen=True, eq=False)
 class CausalElement:
-    """Matrix-valued function a(t, x) = sum_k c_k u_k(t, x) H_k."""
+    """Matrix-valued function a(t, x) = u(t, x) H: one scalar profile u times
+    the constant Hermitian matrix H whose Pauli coordinates, in the order
+    (id, sz, sx, sy), are ``pauli``."""
 
-    dictionary: ElementDictionary
-    coefficients: np.ndarray
+    profile: ScalarField
+    pauli: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.shape != (self.dictionary.size,):
-            raise ValueError(
-                f"expected {self.dictionary.size} coefficients, got {c.shape}"
-            )
-        c = c.copy()
+        c = np.array(self.pauli, dtype=float)
+        if c.shape != (len(_PAULI),) or not np.all(np.isfinite(c)):
+            raise ValueError(f"expected {len(_PAULI)} finite Pauli coordinates, got {c}")
         c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    def value_at(self, e: Event) -> np.ndarray:
-        u = _dictionary_tables(self.dictionary, e.t, e.x)[0]
-        return np.tensordot(u @ self.coefficients.reshape(-1, len(_PAULI)), _PAULI, 1)
+        object.__setattr__(self, "pauli", c)
 
     def max_symbol_eigenvalue(self, grid: Grid, df: FiniteDirac) -> float:
         """Largest eigenvalue of the symbol over all grid events."""
-        tables = _dictionary_tables(self.dictionary, *grid.coordinates())
-        coords = tables @ self.coefficients.reshape(-1, len(_PAULI))
-        symbols = _assemble_symbols(coords, _symbol_blocks(df))
+        jet = np.stack(self.profile.jet(*grid.coordinates()), axis=-1)
+        symbols = _assemble_symbols(jet[:, :, None] * self.pauli, _symbol_blocks(df))
         return float(np.max(np.linalg.eigvalsh(symbols)[:, -1]))
 
     def is_certified(self, grid: Grid, df: FiniteDirac) -> bool:
@@ -487,33 +438,27 @@ class CausalElement:
         return self.max_symbol_eigenvalue(grid, df) <= NSD_TOL
 
     def eval_state(self, w: ProductState) -> float:
-        return state_eval(w.internal, self.value_at(w.event))
+        u = self.profile.jet(w.event.t, w.event.x)[0]
+        return state_eval(w.internal, u * np.tensordot(self.pauli, _PAULI, 1))
 
     def describe(self) -> str:
         parts = [
-            f"{c:+.6g}*{self.dictionary.atom_name(k)}"
-            for k, c in enumerate(self.coefficients)
+            f"{c:+.6g}*{self.profile.name}*{name}"
+            for c, name in zip(self.pauli, _PAULI_NAMES)
             if abs(c) > 1e-12
         ]
         return " ".join(parts) if parts else "0"
 
 
 WITNESS_TOL = 1e-6
-# The base witness's rapidity: at least the steepest of BETA_GRID, and that
-# far past the root of the gain. It is capped where the certificate still
-# rounds below NSD_TOL: the symbol's entries grow as cosh(beta) while its
-# largest eigenvalue is -sech^2 e^-|beta|, and from |beta| of about 18 the
-# rounding of the symbol and of its 4x4 eigensolve outweighs it.
+# The base witness's rapidity: at least 4, the steepest of the boosted tanh
+# profiles that verify's cone-monotonicity row certifies, and that far past
+# the root of the gain. It is capped where the certificate still rounds
+# below NSD_TOL: the symbol's entries grow as cosh(beta) while its largest
+# eigenvalue is -sech^2 e^-|beta|, and from |beta| of about 18 the rounding
+# of the symbol and of its 4x4 eigensolve outweighs it.
 WITNESS_RAPIDITY = 4.0
 WITNESS_BOOST_CAP = 16.0
-
-
-def _dictionary_tables(dictionary: ElementDictionary, t, x) -> np.ndarray:
-    """Values and gradients of every profile at the events (t, x), shape
-    t.shape + (3, n_profiles) with rows u, du/dt, du/dx: one array call per
-    profile."""
-    jets = np.array([prof.jet(t, x) for prof in dictionary.profiles])
-    return np.ascontiguousarray(np.moveaxis(jets, (0, 1), (-1, -2)))
 
 
 def _witness_rapidity(p: Event, q: Event) -> float:
@@ -526,9 +471,10 @@ def _witness_rapidity(p: Event, q: Event) -> float:
     the more negative term is taken. When u and v have opposite signs the
     gain is negative only past its root 0.5 * ln(-v / u), so the rapidity
     goes ``WITNESS_RAPIDITY`` past the root, and never closer to 0 than
-    ``WITNESS_RAPIDITY``. The gain is monotone beyond, so no rapidity of
-    ``BETA_GRID`` on that side gives a more negative one. Only the signs of u
-    and v and their ratio matter, so an overflowing pair is scaled.
+    ``WITNESS_RAPIDITY``. The gain is monotone beyond, so no rapidity on that
+    side of magnitude at most ``WITNESS_RAPIDITY`` gives a more negative one.
+    Only the signs of u and v and their ratio matter, so an overflowing pair
+    is scaled.
     """
     dt, dx = q.t - p.t, q.x - p.x
     u, v = dt + dx, dt - dx
@@ -558,13 +504,13 @@ def separating_element_search(
       is -f_t I + f_x (gamma_m (x) I), whose eigenvalues
       -f_t +- |f_x| = -sech^2 e^-|beta| are <= 0 on the whole plane.
     - latitude: the constant ``sign(z1 - z2) * sz``, whose symbol is zero
-      because it commutes with D_F; its gap is -|z1 - z2|.
+      because it commutes with D_F; its gap is exactly -|z1 - z2|.
 
     The candidate is returned when its gap is below ``-WITNESS_TOL``. A pair
     whose base is causal and whose latitudes agree (a speed-limit failure or
-    a related pair) returns ``None`` at once: no single certified atom of
-    :func:`default_dictionary` separates it, so ``None`` by itself is
-    inconclusive.
+    a related pair) returns ``None`` at once: no single certified atom, a
+    profile of :func:`nccausal.verify.monotonicity_profiles` times a Pauli
+    matrix, separates it, so ``None`` by itself is inconclusive.
 
     Neither closed form depends on ``df``, and no work depends on ``grid``.
     When a grid is passed it must cover both events with margin at least
@@ -591,14 +537,14 @@ def separating_element_search(
     if not causally_precedes(p, q):
         tc, xc = 0.5 * p.t + 0.5 * q.t, 0.5 * p.x + 0.5 * q.x
         profile = _boost_tanh_profile(_witness_rapidity(p, q), tc, xc)
-        coefficients = [1.0, 0.0, 0.0, 0.0]
+        pauli = [1.0, 0.0, 0.0, 0.0]
     elif abs(latitude(w1.internal) - latitude(w2.internal)) > LATITUDE_TOL:
         profile = _const_profile()
         sign = math.copysign(1.0, latitude(w1.internal) - latitude(w2.internal))
-        coefficients = [0.0, sign, 0.0, 0.0]
+        pauli = [0.0, sign, 0.0, 0.0]
     else:
         return None
-    witness = CausalElement(ElementDictionary((profile,)), np.array(coefficients))
+    witness = CausalElement(profile, pauli)
     gap = witness.eval_state(w2) - witness.eval_state(w1)
     if not math.isfinite(gap):
         raise CoordinateOverflow("the witness's values leave the double range")

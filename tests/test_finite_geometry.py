@@ -134,11 +134,28 @@ def test_state_eval_examples():
 
 
 def test_state_eval_identity_is_normalization():
+    # exactly 1 on the identity and exactly the latitude on sz
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        s = make_state(v)
-        assert math.isclose(state_eval(s, np.eye(2)), 1.0, abs_tol=1e-12)
+    sz = np.diag([1.0, -1.0])
+    states = [make_state(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(20)]
+    states += [state_on_parallel(0.0, 0.0), state_on_parallel(0.5, 0.4), make_state([0.0, 1.0])]
+    for s in states:
+        assert state_eval(s, np.eye(2)) == 1.0
+        assert state_eval(s, sz) == latitude(s)
+
+
+def test_state_eval_matches_the_quadratic_form():
+    # oracle: xi* a xi from the state vector, within a few ulps of the scale
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        s = make_state(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = m + m.conj().T
+        xi = np.array([s.xi1, s.xi2])
+        want = float(np.real(xi.conj() @ a @ xi))
+        assert abs(state_eval(s, a) - want) <= 8 * np.finfo(float).eps * np.abs(a).sum()
+    with pytest.raises(ValueError):
+        state_eval(s, np.eye(3))
 
 
 def test_make_state_invariants_on_random_vectors():

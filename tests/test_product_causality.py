@@ -30,7 +30,6 @@ from nccausal import (
     causally_precedes,
     causally_related,
     curve_oracle,
-    default_dictionary,
     is_causal_function,
     latitude,
     make_state,
@@ -43,8 +42,7 @@ from nccausal import (
     state_eval,
     state_on_parallel,
 )
-from nccausal.product_causality import _dictionary_tables
-from nccausal.verify import random_product_pair, related_product_pair
+from nccausal.verify import monotonicity_profiles, random_product_pair, related_product_pair
 
 E = Event
 I2 = np.eye(2, dtype=complex)
@@ -74,7 +72,7 @@ def reference_symbol(a, at, ax, df):
 
 
 def reference_jets(p, q):
-    """The profiles of ``default_dictionary(p, q)`` written out with math.tanh
+    """The profiles of ``monotonicity_profiles(p, q)`` written out with math.tanh
     and math.exp, each mapping (t, x) to (u, du/dt, du/dx): the constant,
     tanh of the time coordinate boosted by each rapidity of BETAS, and two
     Gaussian bumps, all centred at the midpoint of p and q."""
@@ -189,43 +187,39 @@ def test_max_symbol_eigenvalue_matches_per_event_reference():
     df = FiniteDirac(1.0, 2.0)
     rng = np.random.default_rng(27)
     p, q = E(0, 0), E(2, 0.5)
-    dictionary = default_dictionary(p, q)
+    profiles = monotonicity_profiles(p, q)
     jets = reference_jets(p, q)
-    assert dictionary.size == len(PAULI) * len(jets)
+    assert len(profiles) == len(jets)
     grid = Grid(-3.0, 5.0, -3.0, 3.5, 9, 9)
-    for _ in range(20):
-        element = CausalElement(dictionary, rng.uniform(-1, 1, dictionary.size))
-        worst = -math.inf
-        for e in grid.events():
-            a, at, ax = (np.zeros((2, 2), dtype=complex) for _ in range(3))
-            for k, c in enumerate(element.coefficients):
-                u, ut, ux = jets[k // 4](e.t, e.x)
-                a += c * u * PAULI[k % 4]
-                at += c * ut * PAULI[k % 4]
-                ax += c * ux * PAULI[k % 4]
-            sym = reference_symbol(a, at, ax, df)
-            worst = max(worst, float(np.linalg.eigvalsh(sym)[-1]))
-        assert abs(element.max_symbol_eigenvalue(grid, df) - worst) <= 1e-12
+    for profile, jet in zip(profiles, jets):
+        for _ in range(2):
+            element = CausalElement(profile, rng.uniform(-1, 1, len(PAULI)))
+            h = sum(c * m for c, m in zip(element.pauli, PAULI))
+            worst = -math.inf
+            for e in grid.events():
+                u, ut, ux = jet(e.t, e.x)
+                sym = reference_symbol(u * h, ut * h, ux * h, df)
+                worst = max(worst, float(np.linalg.eigvalsh(sym)[-1]))
+            assert abs(element.max_symbol_eigenvalue(grid, df) - worst) <= 1e-12
 
 
 def test_tabulated_profiles_match_their_reference_and_differences():
     rng = np.random.default_rng(28)
     p, q = E(-0.4, 0.3), E(1.7, -0.6)
-    dictionary = default_dictionary(p, q)
     t, x = rng.uniform(-4, 4, (2, 200))
-    tables = _dictionary_tables(dictionary, t, x)
-    assert tables.shape == (200, 3, len(dictionary.profiles))
-    for j, jet in enumerate(reference_jets(p, q)):
-        want = np.array([jet(a, b) for a, b in zip(t, x)])
-        assert np.max(np.abs(tables[:, :, j] - want)) <= 1e-12
-    # the tabulated gradient is the derivative of the tabulated value
     h = 1e-6
-    value = [
-        _dictionary_tables(dictionary, t + dt, x + dx)[:, 0]
-        for dt, dx in ((h, 0), (-h, 0), (0, h), (0, -h))
-    ]
-    assert np.max(np.abs((value[0] - value[1]) / (2 * h) - tables[:, 1])) <= 1e-7
-    assert np.max(np.abs((value[2] - value[3]) / (2 * h) - tables[:, 2])) <= 1e-7
+    for profile, jet in zip(monotonicity_profiles(p, q), reference_jets(p, q), strict=True):
+        table = np.array(profile.jet(t, x))
+        assert table.shape == (3, 200)
+        want = np.array([jet(a, b) for a, b in zip(t, x)]).T
+        assert np.max(np.abs(table - want)) <= 1e-12
+        # the tabulated gradient is the derivative of the tabulated value
+        value = [
+            profile.jet(t + dt, x + dx)[0]
+            for dt, dx in ((h, 0), (-h, 0), (0, h), (0, -h))
+        ]
+        assert np.max(np.abs((value[0] - value[1]) / (2 * h) - table[1])) <= 1e-7
+        assert np.max(np.abs((value[2] - value[3]) / (2 * h) - table[2])) <= 1e-7
 
 
 def test_dictionary_profiles_are_scalar_fields():
@@ -239,7 +233,7 @@ def test_dictionary_profiles_are_scalar_fields():
     for p, q in pairs:
         sep = math.hypot(q.t - p.t, q.x - p.x)
         grid = Grid.covering(p, q, margin=sep + 1.0, n_t=13, n_x=13)
-        profiles = default_dictionary(p, q).profiles
+        profiles = monotonicity_profiles(p, q)
         names = [f.name.partition("[")[0] for f in profiles]
         verdicts = [is_causal_function(f, grid) for f in profiles]
         assert names == ["const"] + ["tanh_boost"] * len(BETAS) + ["bump"] * 2
@@ -571,7 +565,7 @@ def test_separating_search_related_pair_finds_nothing():
 
 
 def reference_atom_search(w1, w2, df):
-    """Every signed atom of the default dictionary, brute force: its gap
+    """Every signed atom of the monotonicity profiles, brute force: its gap
     w2(a) - w1(a) and the largest eigenvalue of its reference symbol over
     the 13x13 grid covering both events with margin their separation plus 1,
     as (k, sign, gap, lam) in (k, +/-) order.
@@ -698,15 +692,10 @@ def test_separating_search_far_apart_raises_overflow(p, q):
 def test_certified_atoms_are_monotone_along_the_order():
     df = FiniteDirac(1.0, 2.0)
     rng = np.random.default_rng(24)
-    dictionary = default_dictionary(E(0, 0), E(2, 0.5))
+    profiles = monotonicity_profiles(E(0, 0), E(2, 0.5))
     grid = Grid(-8.0, 8.0, -8.0, 8.0, 15, 15)
-    certified = []
-    for k in range(dictionary.size):
-        coeffs = np.zeros(dictionary.size)
-        coeffs[k] = 1.0
-        element = CausalElement(dictionary, coeffs)
-        if element.is_certified(grid, df):
-            certified.append(element)
+    atoms = [CausalElement(f, unit) for f in profiles for unit in np.eye(4)]
+    certified = [atom for atom in atoms if atom.is_certified(grid, df)]
     assert certified  # the constant and tanh-boost scalar atoms at least
     for _ in range(10):
         w1, w2 = related_product_pair(rng, df)
@@ -715,9 +704,14 @@ def test_certified_atoms_are_monotone_along_the_order():
 
 
 def test_causal_element_coefficient_validation():
-    dictionary = default_dictionary(E(0, 0), E(1, 0))
+    profile = monotonicity_profiles(E(0, 0), E(1, 0))[0]
     with pytest.raises(ValueError):
-        CausalElement(dictionary, np.zeros(3))
+        CausalElement(profile, np.zeros(3))
+    with pytest.raises(ValueError):
+        CausalElement(profile, [1.0, math.nan, 0.0, 0.0])
+    element = CausalElement(profile, [0.0, -1.0, 0.0, 0.0])
+    assert (element.profile, element.pauli.tolist()) == (profile, [0.0, -1.0, 0.0, 0.0])
+    assert not element.pauli.flags.writeable
 
 
 def test_causal_verdict_requires_reason_iff_not_related():

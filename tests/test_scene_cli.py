@@ -111,8 +111,8 @@ def test_check_witness_prints_the_refuting_element(name, witness, gap, capsys):
     assert run_cli("check", "--witness", "origin", name) == 10
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2] == f"witness: {witness}"
-    key, value = lines[-1].split(": ")
-    assert key == "witness_gap" and float(value) == pytest.approx(gap, abs=1e-12)
+    # both evaluations are exact: 1 and -1 for the tanh, z for sz
+    assert lines[-1] == f"witness_gap: {gap:g}"
 
 
 def test_check_witness_is_none_for_the_speed_clause(capsys):
@@ -281,6 +281,21 @@ def test_scan_overflowing_proper_time_exit_two(tmp_path, capsys):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err == "error: a length of 6.1453e+127 * 2**600 exceeds the double range\n"
+
+
+def test_check_witness_matches_the_golden_transcript(capsys):
+    # every ordered pair of the default scene's states, as the shell loop
+    # "$ nccausal check --witness A B", its output and "exit: <code>"
+    names = list(default_scene().states)
+    lines = []
+    for a in names:
+        for b in names:
+            code = run_cli("check", "--witness", a, b)
+            assert code in (0, 10), (a, b)
+            out = capsys.readouterr().out.rstrip("\n")
+            lines += [f"$ nccausal check --witness {a} {b}", out, f"exit: {code}"]
+    want = (DATA / "check_witness_default.txt").read_text(encoding="utf-8")
+    assert "\n".join(lines) + "\n" == want
 
 
 def test_scan_is_deterministic(tmp_path):

@@ -17,7 +17,6 @@ from nccausal import (
     Grid,
     causal_symbol,
     causally_related,
-    default_dictionary,
     hermitian_eigenvalues,
     lorentzian_distance,
     product_symbol,
@@ -158,7 +157,7 @@ def test_planted_faults_fail_the_stacked_rows(monkeypatch, name, fault, suite, r
 
 
 # The first related pair that ``verify --suite product --seed 5`` draws for
-# cone_monotonicity, whose dictionary atoms tanh_boost[+-4]*sz the coarse
+# cone_monotonicity, whose atoms tanh_boost[+-4]*sz the coarse
 # grid certifies although their symbols reach about e^4 between its points.
 SEED5_P = Event(2.6825013344447735, -1.2488970165826365)
 SEED5_Q = Event(2.9998452380192515, -1.0377865892012694)
@@ -166,15 +165,16 @@ COARSE = Grid(-8.0, 8.0, -8.0, 8.0, 15, 15)
 
 
 def _steep_sz_atoms():
-    dictionary = default_dictionary(SEED5_P, SEED5_Q)
-    atoms = []
-    for k in range(dictionary.size):
-        name = dictionary.atom_name(k)
-        if name.startswith(("tanh_boost[4]", "tanh_boost[-4]")) and name.endswith("*sz"):
-            coeffs = np.zeros(dictionary.size)
-            coeffs[k] = 1.0
-            atoms.append(CausalElement(dictionary, coeffs))
-    assert len(atoms) == 2
+    sz = [0.0, 1.0, 0.0, 0.0]
+    atoms = [
+        CausalElement(f, sz)
+        for f in verify.monotonicity_profiles(SEED5_P, SEED5_Q)
+        if f.name.startswith(("tanh_boost[4]", "tanh_boost[-4]"))
+    ]
+    assert [atom.describe() for atom in atoms] == [
+        "+1*tanh_boost[4]@(2.84117,-1.14334)*sz",
+        "+1*tanh_boost[-4]@(2.84117,-1.14334)*sz",
+    ]
     return atoms
 
 

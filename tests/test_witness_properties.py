@@ -48,7 +48,7 @@ def far_events(witness, p, q, rng):
     t = rng.uniform(-1e6, 1e6, 200)
     x = rng.uniform(-1e6, 1e6, 200)
     tc, xc = 0.5 * p.t + 0.5 * q.t, 0.5 * p.x + 0.5 * q.x
-    _, ch, sh = witness.dictionary.profiles[0].jet(tc, xc)
+    _, ch, sh = witness.profile.jet(tc, xc)
     if ch > 0.0:
         along = rng.uniform(-1e4, 1e4, 200)
         t = np.concatenate([t, tc + (rng.uniform(-3.0, 3.0, 200) - sh * along) / ch])
@@ -60,8 +60,8 @@ def check_cone_membership(witness, w1, w2):
     p, q = w1.event, w2.event
     assert witness.eval_state(w2) - witness.eval_state(w1) < -WITNESS_TOL
     t, x = far_events(witness, p, q, np.random.default_rng(0))
-    u, ut, ux = (np.broadcast_to(j, t.shape) for j in witness.dictionary.profiles[0].jet(t, x))
-    h = sum(c * m for c, m in zip(witness.coefficients, PAULI))
+    u, ut, ux = (np.broadcast_to(j, t.shape) for j in witness.profile.jet(t, x))
+    h = sum(c * m for c, m in zip(witness.pauli, PAULI))
     a, at, ax = (j[:, None, None] * h for j in (u, ut, ux))
     lam = np.linalg.eigvalsh(product_symbol(a, at, ax, DF))[:, -1]
     assert lam.max() <= NSD_TOL
@@ -118,4 +118,6 @@ def test_latitude_witnesses_are_in_the_cone(pt, px, dt, slope, z1, z2):
         assert witness is not None
     if witness is not None:
         assert witness.describe().endswith("const*sz")
+        gap = witness.eval_state(w2) - witness.eval_state(w1)
+        assert gap == -causally_related(w1, w2, DF).latitude_gap
         check_cone_membership(witness, w1, w2)
