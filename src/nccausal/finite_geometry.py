@@ -57,8 +57,9 @@ class FiniteDirac:
 class InternalState:
     """Normalized, phase-fixed pure state with cached Bloch coordinates.
 
-    Construct through :func:`make_state`; the phase convention (first component
-    above threshold real and nonnegative) makes instances canonical.
+    Construct through :func:`make_state` or :func:`state_on_parallel`; the
+    phase convention (first component above threshold real and nonnegative)
+    makes instances canonical.
     """
 
     xi1: complex
@@ -102,21 +103,32 @@ def make_state(v) -> InternalState:
                     arr = arr / renorm
             break
     xi1, xi2 = complex(arr[0]), complex(arr[1])
+    return InternalState(xi1, xi2, _bloch(xi1, xi2))
+
+
+def _bloch(xi1: complex, xi2: complex) -> tuple[float, float, float]:
     cross = xi1.conjugate() * xi2
-    bloch = (2.0 * cross.real, 2.0 * cross.imag, abs(xi1) ** 2 - abs(xi2) ** 2)
-    return InternalState(xi1, xi2, bloch)
+    return (2.0 * cross.real, 2.0 * cross.imag, abs(xi1) ** 2 - abs(xi2) ** 2)
 
 
 def state_on_parallel(z: float, theta: float) -> InternalState:
-    """State at latitude z and angle theta on its parallel."""
+    """State at latitude z and angle theta on its parallel, in closed form.
+
+    The vector (sqrt((1 + z) / 2), e^(i theta) sqrt((1 - z) / 2)) is already
+    canonical: its first component is real and positive and its norm is
+    within a few ulps of 1, so :func:`make_state` would return it unchanged.
+    Only at z = -1, where the first component vanishes, does the phase of the
+    second still need fixing. Raises ValueError for z outside [-1, 1] and for
+    a non-finite theta."""
     if not -1.0 <= z <= 1.0:
         raise ValueError(f"latitude must lie in [-1, 1], got {z}")
-    return make_state(
-        [
-            math.sqrt(0.5 * (1.0 + z)),
-            cmath.exp(1j * theta) * math.sqrt(0.5 * (1.0 - z)),
-        ]
-    )
+    if not math.isfinite(theta):
+        raise ValueError(f"angle on the parallel must be finite, got {theta}")
+    xi1 = complex(math.sqrt(0.5 * (1.0 + z)))
+    xi2 = cmath.exp(1j * theta) * math.sqrt(0.5 * (1.0 - z))
+    if z == -1.0:
+        return make_state([xi1, xi2])
+    return InternalState(xi1, xi2, _bloch(xi1, xi2))
 
 
 def latitude(s: InternalState) -> float:

@@ -8,10 +8,13 @@ certifying non-causality against the operator cone.
 
 Every symbol comes from one batched assembly: one matrix product of the
 Pauli coordinates of the element's value and gradient at each event with
-twelve constant Hermitian blocks. A cone element is one spacetime scalar
-field times one constant Hermitian matrix, so its symbols over a grid are
-the field's jet, tabulated in one array call, times the matrix's Pauli
-coordinates.
+twelve Hermitian blocks. They are built once, at import: the eight of the
+gradient are constants, and the four of the value are the gap d1 - d2 times
+constants, because [D, H] = (d1 - d2)/2 [sz, H]. A cone element is one
+spacetime scalar field times one constant Hermitian matrix, so its symbols
+over a grid are the field's jet, tabulated in one array call, times the
+matrix's Pauli coordinates, and its value on a state is the field's value
+times the matrix's in Bloch form.
 
 The separating search answers in closed form, from the first failing clause.
 A base failure is refuted by tanh of a boosted time coordinate times the
@@ -43,7 +46,6 @@ from .finite_geometry import (
     is_pole,
     latitude,
     longitude,
-    state_eval,
 )
 from .spacetime import (
     NSD_TOL,
@@ -69,23 +71,41 @@ _PAULI = np.array(
 _PAULI.setflags(write=False)
 
 
-def _symbol_blocks(df: FiniteDirac) -> np.ndarray:
-    """The constant Hermitian blocks of the Pauli basis H_j, shape (3, 4, 4, 4),
-    in the order of the coordinates they weight: -i gamma1 (x) [D, H_j] for a,
-    -I (x) H_j for da/dt and gamma_m (x) H_j for da/dx.
+def _constant_blocks() -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian blocks of the Pauli basis H_j that do not depend on D_F:
+    -i gamma1 (x) [D, H_j] per unit gap d1 - d2, shape (4, 4, 4), and
+    -I (x) H_j for da/dt and gamma_m (x) H_j for da/dx, shape (2, 4, 4, 4).
 
     They are j[D, a] = (i gamma0 (x) I)(-i gamma0 (x) da/dt - i gamma1 (x) da/dx
     + gamma_m (x) [D, a]) multiplied out for a = H_j: i gamma0 times -i gamma0,
-    -i gamma1 and gamma_m gives -I, gamma_m and -i gamma1.
+    -i gamma1 and gamma_m gives -I, gamma_m and -i gamma1. Writing
+    D = (d1 + d2)/2 I + (d1 - d2)/2 sz gives [D, H] = (d1 - d2)/2 [sz, H].
     """
     b = standard_basis()
-    d = df.matrix()
-    blocks = [
-        [np.kron(-1j * b.gamma1, d @ h - h @ d) for h in _PAULI],
+    sz = _PAULI[1]
+    unit_gap = [np.kron(-1j * b.gamma1, 0.5 * (sz @ h - h @ sz)) for h in _PAULI]
+    gradient = [
         [-np.kron(np.eye(2), h) for h in _PAULI],
         [np.kron(b.gamma_m, h) for h in _PAULI],
     ]
-    return ensure_hermitian(np.array(blocks))
+    blocks = ensure_hermitian(np.array(unit_gap)), ensure_hermitian(np.array(gradient))
+    for m in blocks:
+        m.setflags(write=False)
+    return blocks
+
+
+_UNIT_GAP_BLOCKS, _GRADIENT_BLOCKS = _constant_blocks()
+
+
+def _symbol_blocks(df: FiniteDirac) -> np.ndarray:
+    """The Hermitian blocks of the Pauli basis H_j for D_F, shape (3, 4, 4, 4),
+    in the order of the coordinates they weight: -i gamma1 (x) [D, H_j] for a,
+    -I (x) H_j for da/dt and gamma_m (x) H_j for da/dx. Only the first set
+    depends on D_F, as the gap d1 - d2 times :func:`_constant_blocks`'s unit
+    blocks; adding +0.0 clears the sign that a negative gap puts on their
+    zero parts."""
+    scaled = (df.d1 - df.d2) * _UNIT_GAP_BLOCKS + 0.0
+    return np.concatenate([scaled[None], _GRADIENT_BLOCKS])
 
 
 def _assemble_symbols(coords: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -131,8 +151,9 @@ def product_symbol(
     and gradient; stacks of shape (..., 2, 2) give symbols of shape (..., 4, 4).
 
     Each (validated Hermitian) input is expanded in Pauli coordinates
-    0.5 tr(m H_j) and the symbol assembled from the constant blocks of
-    :func:`_symbol_blocks`.
+    0.5 tr(m H_j) and the symbol assembled from the blocks of
+    :func:`_symbol_blocks`: module constants, those of the value scaled by
+    the gap d1 - d2.
     """
     coords = np.stack(
         [
@@ -438,8 +459,12 @@ class CausalElement:
         return self.max_symbol_eigenvalue(grid, df) <= NSD_TOL
 
     def eval_state(self, w: ProductState) -> float:
-        u = self.profile.jet(w.event.t, w.event.x)[0]
-        return state_eval(w.internal, u * np.tensordot(self.pauli, _PAULI, 1))
+        """The state's value u(t, x) <xi| H |xi> in Bloch form,
+        u c_id + u c_z z + u c_x x + u c_y y."""
+        u = float(self.profile.jet(w.event.t, w.event.x)[0])
+        c_id, c_z, c_x, c_y = self.pauli.tolist()
+        x, y, z = w.internal.bloch
+        return u * c_id + u * c_z * z + u * c_x * x + u * c_y * y
 
     def describe(self) -> str:
         parts = [

@@ -11,6 +11,8 @@ read and its other keys are ignored.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import SceneError, UnknownState
@@ -94,17 +96,20 @@ class Scene:
                     float(grid_raw["t_max"]),
                     float(grid_raw["x_min"]),
                     float(grid_raw["x_max"]),
-                    int(grid_raw.get("n_t", 101)),
-                    int(grid_raw.get("n_x", 101)),
+                    _integer(grid_raw.get("n_t", 101), "grid.n_t"),
+                    _integer(grid_raw.get("n_x", 101), "grid.n_x"),
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SceneError(f"invalid grid block: {exc}") from exc
 
         legacy = data.get("optimizer", {})
         try:
-            seed = int(data["seed"] if "seed" in data else legacy.get("seed", 42))
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            seed = data["seed"] if "seed" in data else legacy.get("seed", 42)
+        except AttributeError as exc:
             raise SceneError(f"invalid seed: {exc}") from exc
+        seed = _integer(seed, "seed")
+        if seed < 0:
+            raise SceneError(f"invalid seed: must be nonnegative, got {seed}")
 
         return cls(dirac=dirac, states=states, grid=grid, seed=seed)
 
@@ -117,6 +122,18 @@ class Scene:
         if not isinstance(data, dict):
             raise SceneError("scene JSON must be an object")
         return cls.from_dict(data)
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer, or a number with an integral value such as 42.0, as an
+    int; a bool, a string or a fractional or non-finite number raises
+    SceneError naming the field."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise SceneError(f"invalid {name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def load_scene(path: str) -> Scene:

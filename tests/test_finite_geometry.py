@@ -6,6 +6,7 @@ explicit maximizer, a sampled supremum over the feasible set, and the
 independent sine form in latitude and longitude.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -104,6 +105,41 @@ def test_make_state_phase_fixes_second_component_when_first_vanishes():
     s = make_state([0.0, -1.0])
     assert s.xi1 == 0.0
     assert s.xi2 == 1.0
+
+
+def _state_bits(s):
+    """Every float of a state, as bit patterns: equal values with the same
+    sign on their zeros give equal lists."""
+    parts = (s.xi1.real, s.xi1.imag, s.xi2.real, s.xi2.imag, *s.bloch)
+    return [float(v).hex() for v in parts]
+
+
+def test_state_on_parallel_is_make_state_of_its_vector_bit_for_bit():
+    # oracle: make_state normalizing and phase-fixing the same vector
+    rng = np.random.default_rng(61)
+    z, theta = rng.uniform(-1.0, 1.0, 10_000), rng.uniform(-50.0, 50.0, 10_000)
+    draws = list(zip(z.tolist(), theta.tolist()))
+    edges = [
+        (z, th)
+        for z in (-1.0, -1.0 + 2.0**-53, -0.0, 0.0, 1.0 - 2.0**-53, 1.0)
+        for th in (0.0, math.pi, -math.pi)
+    ]
+    for z, th in draws + edges:
+        vector = [math.sqrt(0.5 * (1.0 + z)), cmath.exp(1j * th) * math.sqrt(0.5 * (1.0 - z))]
+        want = make_state(vector)
+        got = state_on_parallel(z, th)
+        assert (got.xi1, got.xi2, got.bloch) == (want.xi1, want.xi2, want.bloch), (z, th)
+        assert _state_bits(got) == _state_bits(want), (z, th)
+
+
+@pytest.mark.parametrize(
+    "z, theta",
+    [(0.3, math.nan), (0.3, math.inf), (0.3, -math.inf),
+     (math.nan, 0.3), (1.0000001, 0.3), (-1.0000001, 0.3)],
+)
+def test_state_on_parallel_rejects_non_finite_angles_and_bad_latitudes(z, theta):
+    with pytest.raises(ValueError):
+        state_on_parallel(z, theta)
 
 
 def test_latitude_examples():

@@ -30,6 +30,7 @@ from nccausal import (
     causally_precedes,
     causally_related,
     curve_oracle,
+    ensure_hermitian,
     is_causal_function,
     latitude,
     make_state,
@@ -42,6 +43,7 @@ from nccausal import (
     state_eval,
     state_on_parallel,
 )
+from nccausal.product_causality import _GRADIENT_BLOCKS, _UNIT_GAP_BLOCKS, _symbol_blocks
 from nccausal.verify import monotonicity_profiles, random_product_pair, related_product_pair
 
 E = Event
@@ -99,6 +101,28 @@ def reference_jets(p, q):
         [lambda t, x: (1.0, 0.0, 0.0)]
         + [tanh_boost(b) for b in BETAS]
         + [bump(width), bump(0.5 * width)]
+    )
+
+
+def kronecker_blocks(df):
+    """The twelve symbol blocks of the Pauli basis built for one operator from
+    literal Kronecker products and symmetrized: -i g1 (x) [D, H_j] for a,
+    -I (x) H_j for da/dt and gm (x) H_j for da/dx."""
+    d = df.matrix()
+    blocks = [
+        [np.kron(-1j * G1, d @ h - h @ d) for h in PAULI],
+        [-np.kron(I2, h) for h in PAULI],
+        [np.kron(GM, h) for h in PAULI],
+    ]
+    return ensure_hermitian(np.array(blocks))
+
+
+def same_bits(a, b):
+    """Equal arrays whose zero parts also carry the same signs."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
     )
 
 
@@ -181,6 +205,50 @@ def test_product_symbol_stack_matches_single_calls():
         single = product_symbol(a[i], at[i], ax[i], df)
         assert np.array_equal(stack[i], single)
         assert np.max(np.abs(single - reference_symbol(a[i], at[i], ax[i], df))) <= 1e-12
+
+
+def test_symbol_blocks_match_the_kronecker_construction_bit_for_bit():
+    # the default scene's and both benchmark operators, both signs of the
+    # gap d1 - d2, and random operators over twelve decades
+    rng = np.random.default_rng(30)
+    pairs = [(0.0, 1.0), (1.0, 0.0), (0.5, 3.0), (3.0, 0.5), (0.5, -1.5), (-2.0, -7.25)]
+    pairs += [tuple(rng.standard_normal(2) * 10.0 ** rng.uniform(-6, 6, 2)) for _ in range(200)]
+    for d1, d2 in pairs:
+        df = FiniteDirac(float(d1), float(d2))
+        assert same_bits(_symbol_blocks(df), kronecker_blocks(df)), df
+
+
+def test_symbol_block_constants_are_read_only():
+    for blocks in (_UNIT_GAP_BLOCKS, _GRADIENT_BLOCKS):
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 1.0
+
+
+def test_eval_state_is_state_eval_of_the_element_value():
+    # oracle: the state's value on the matrix u(t, x) H; bit for bit on the
+    # signed unit Pauli vectors, the only ones the library builds, and within
+    # 4 ulps of the terms' scale on random ones
+    rng = np.random.default_rng(31)
+    profiles = monotonicity_profiles(E(0, 0), E(2, 0.5))
+    units = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
+    eps = np.finfo(float).eps
+    for n in range(300):
+        internal = (
+            state_on_parallel(rng.uniform(-1, 1), rng.uniform(-4, 4))
+            if n % 2
+            else make_state(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        )
+        w = ProductState(E(*rng.uniform(-4, 4, 2)), internal)
+        profile = profiles[rng.integers(len(profiles))]
+        u = profile.jet(w.event.t, w.event.x)[0]
+        for pauli in units + [rng.uniform(-3, 3, 4)]:
+            got = CausalElement(profile, pauli).eval_state(w)
+            want = state_eval(w.internal, u * np.tensordot(pauli, np.array(PAULI), 1))
+            x, y, z = w.internal.bloch
+            scale = abs(u) * np.dot(np.abs(pauli), np.abs([1.0, z, x, y]))
+            assert abs(got - want) <= 4 * eps * scale
+            if np.count_nonzero(pauli) == 1:
+                assert got.hex() == float(want).hex(), (pauli, w)
 
 
 def test_max_symbol_eigenvalue_matches_per_event_reference():

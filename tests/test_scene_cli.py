@@ -82,6 +82,26 @@ def test_scene_rejects_malformed_seed(patch):
         Scene.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 42.9), ("seed", True), ("seed", -1), ("seed", "42"),
+     ("n_t", 10.7), ("n_t", True), ("n_x", 3.5), ("n_x", False)],
+)
+def test_scene_rejects_non_integer_counts(field, value):
+    data = default_scene().to_dict()
+    (data if field == "seed" else data["grid"])[field] = value
+    with pytest.raises(SceneError, match=field):
+        Scene.from_dict(data)
+
+
+def test_scene_accepts_integral_floats():
+    data = default_scene().to_dict()
+    data["seed"], data["grid"]["n_t"] = 42.0, 10.0
+    scene = Scene.from_dict(data)
+    assert (scene.seed, scene.grid.n_t) == (42, 10)
+    assert type(scene.seed) is int and type(scene.grid.n_t) is int
+
+
 def test_check_related_exit_zero(capsys):
     assert run_cli("check", "origin", "timelike") == 0
     out = capsys.readouterr().out
