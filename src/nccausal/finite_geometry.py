@@ -166,11 +166,16 @@ def state_eval(s: InternalState, a: np.ndarray) -> float:
     return float(0.5 * (a00 + a11) + 0.5 * (a00 - a11) * z + a01.real * x - a01.imag * y)
 
 
-def commutator_norm(df: FiniteDirac, a: np.ndarray) -> float:
-    """Operator norm of [D, a]; equals |d1 - d2| * |a12| for Hermitian a."""
+def commutator_norm(df: FiniteDirac, a: np.ndarray) -> float | np.ndarray:
+    """Operator norm of [D, a]; equals |d1 - d2| * |a12| for Hermitian a.
+
+    A single matrix gives a float; a stack of shape (..., 2, 2) gives the
+    array of shape (...) of each matrix's norm.
+    """
     a = ensure_hermitian(a)
     d = df.matrix()
-    return float(np.linalg.norm(d @ a - a @ d, 2))
+    norm = np.linalg.norm(d @ a - a @ d, 2, axis=(-2, -1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass(frozen=True)

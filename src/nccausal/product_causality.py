@@ -408,10 +408,16 @@ def curve_oracle(
 # --------------------------------------------------------------------------
 
 
+def _const_jet(t, x):
+    # a single event (eval_state) gets plain floats, without numpy's array
+    # constructors
+    if isinstance(t, float):
+        return 1.0, 0.0, 0.0
+    return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
+
+
 def _const_profile() -> ScalarField:
-    return ScalarField(
-        lambda t, x: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t)), "const"
-    )
+    return ScalarField(_const_jet, "const")
 
 
 def _boost_tanh_profile(beta: float, tc: float = 0.0, xc: float = 0.0) -> ScalarField:

@@ -231,6 +231,11 @@ def _axis(lo: float, hi: float, n: int) -> list[float]:
     return [lo + h * i for i in range(n)]
 
 
+def _axis_end(lo: float, hi: float, n: int) -> float:
+    """The last value of ``_axis(lo, hi, n)``, the same double without the list."""
+    return lo if n == 1 else lo + (hi - lo) / (n - 1) * (n - 1)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform rectangular sample of events; rows iterate t-major."""
@@ -249,7 +254,10 @@ class Grid:
             raise ValueError("grid bounds are inverted")
         # the last value of an axis is its largest; rounding can carry it past
         # the double range even when both bounds are finite
-        ends = (self.t_values()[-1], self.x_values()[-1])
+        ends = (
+            _axis_end(self.t_min, self.t_max, self.n_t),
+            _axis_end(self.x_min, self.x_max, self.n_x),
+        )
         if not all(map(math.isfinite, (self.t_min, self.t_max, self.x_min, self.x_max, *ends))):
             raise ValueError("grid bounds and coordinates must be finite")
 

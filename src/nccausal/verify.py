@@ -4,10 +4,12 @@ Each suite returns :class:`CheckResult` rows, the package's one registry of
 invariant checks: the CLI prints one line per row and can write them as a
 CSV artifact, and the acceptance tests assert rows by name. All randomness
 flows from a single seed, so repeated runs are bit-identical;
-``tests/data/verify_seed42.csv`` pins every row. A sample set checked by a
-library call that takes arrays is drawn as one array, in the generator's
-per-sample order, and checked in one stacked call; samples that branch on a
-draw stay per sample.
+``tests/data/verify_seed42.csv`` and ``tests/data/verify_seed3.csv`` pin
+every row. A scalar draw goes through ``_uniform``, which gives
+``Generator.uniform``'s value and generator state at the cost of one
+``Generator.random``. A fixed-size sample set checked by a library call that
+takes arrays is drawn as one array, in the generator's per-sample order, and
+checked in one stacked call; samples that branch on a draw stay per sample.
 
 The seeded generators at the top are shared with the test suite.
 """
@@ -77,8 +79,15 @@ class CheckResult:
 # --------------------------------------------------------------------------
 
 
+def _uniform(rng: np.random.Generator, lo, hi, size=None):
+    """The draw ``rng.uniform(lo, hi, size)``, bit for bit and with the same
+    generator state, without the cost of ``Generator.uniform``'s dispatch:
+    numpy draws it as ``lo + (hi - lo) * next_double``."""
+    return lo + (hi - lo) * rng.random(size)
+
+
 def random_event(rng: np.random.Generator, box: float = 3.0) -> Event:
-    return Event(float(rng.uniform(-box, box)), float(rng.uniform(-box, box)))
+    return Event(_uniform(rng, -box, box), _uniform(rng, -box, box))
 
 
 def random_causal_pair(
@@ -86,8 +95,8 @@ def random_causal_pair(
 ) -> tuple[Event, Event]:
     """p and a point of its closed future cone (timelike to lightlike mix)."""
     p = random_event(rng, box)
-    dt = float(rng.uniform(0.0, max_step))
-    dx = dt * float(rng.uniform(-1.0, 1.0))
+    dt = _uniform(rng, 0.0, max_step)
+    dx = dt * _uniform(rng, -1.0, 1.0)
     return p, Event(p.t + dt, p.x + dx)
 
 
@@ -95,8 +104,8 @@ def random_timelike_pair(
     rng: np.random.Generator, box: float = 3.0, min_dt: float = 0.3
 ) -> tuple[Event, Event]:
     p = random_event(rng, box)
-    dt = float(rng.uniform(min_dt, min_dt + 2.5))
-    dx = dt * float(rng.uniform(-0.9, 0.9))
+    dt = _uniform(rng, min_dt, min_dt + 2.5)
+    dx = dt * _uniform(rng, -0.9, 0.9)
     return p, Event(p.t + dt, p.x + dx)
 
 
@@ -105,8 +114,8 @@ def random_spacelike_pair(
 ) -> tuple[Event, Event]:
     """Pair with |dt| <= 0.95 |dx|, so neither precedes the other."""
     p = random_event(rng, box)
-    dx = float(rng.uniform(0.3, 2.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    dt = abs(dx) * float(rng.uniform(-0.95, 0.95))
+    dx = _uniform(rng, 0.3, 2.5) * (1.0 if rng.random() < 0.5 else -1.0)
+    dt = abs(dx) * _uniform(rng, -0.95, 0.95)
     return p, Event(p.t + dt, p.x + dx)
 
 
@@ -116,7 +125,7 @@ def random_null_pair(rng: np.random.Generator) -> tuple[Event, Event]:
     t = float(rng.integers(-192, 193)) / 64.0
     x = float(rng.integers(-192, 193)) / 64.0
     s = float(rng.integers(13, 129)) / 64.0
-    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    sign = 1.0 if rng.random() < 0.5 else -1.0
     return Event(t, x), Event(t + s, x + sign * s)
 
 
@@ -126,10 +135,10 @@ def random_parallel_pair(
     min_dtheta: float = 0.3,
 ) -> tuple[InternalState, InternalState]:
     """Two states on one (bitwise identical) parallel of latitude."""
-    z = float(rng.uniform(-z_max, z_max))
-    th = float(rng.uniform(-math.pi, math.pi))
-    dth = float(rng.uniform(min_dtheta, math.pi))
-    if rng.uniform() < 0.5:
+    z = _uniform(rng, -z_max, z_max)
+    th = _uniform(rng, -math.pi, math.pi)
+    dth = _uniform(rng, min_dtheta, math.pi)
+    if rng.random() < 0.5:
         dth = -dth
     return state_on_parallel(z, th), state_on_parallel(z, th + dth)
 
@@ -137,17 +146,20 @@ def random_parallel_pair(
 def random_cross_latitude_pair(
     rng: np.random.Generator, min_gap: float = 0.05
 ) -> tuple[InternalState, InternalState]:
-    z1 = float(rng.uniform(-0.95, 0.95))
-    shift = float(rng.uniform(min_gap, 0.8))
+    z1 = _uniform(rng, -0.95, 0.95)
+    shift = _uniform(rng, min_gap, 0.8)
     z2 = z1 + shift if z1 + shift <= 0.98 else z1 - shift
-    th1 = float(rng.uniform(-math.pi, math.pi))
-    th2 = float(rng.uniform(-math.pi, math.pi))
+    th1 = _uniform(rng, -math.pi, math.pi)
+    th2 = _uniform(rng, -math.pi, math.pi)
     return state_on_parallel(z1, th1), state_on_parallel(z2, th2)
 
 
-def random_hermitian(rng: np.random.Generator, scale: float = 2.0) -> np.ndarray:
-    m = scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return 0.5 * (m + m.conj().T)
+def random_hermitian(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
+    """A stack of n Hermitian 2x2 matrices; each draws its real part, then its
+    imaginary part, as (2, 2) standard normals."""
+    g = rng.standard_normal((n, 2, 2, 2))
+    m = scale * (g[:, 0] + 1j * g[:, 1])
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -160,18 +172,18 @@ def random_product_pair(
     rng: np.random.Generator, df: FiniteDirac
 ) -> tuple[ProductState, ProductState]:
     """Mixed pair generator covering every verdict class."""
-    kind = rng.uniform()
+    kind = rng.random()
     if kind < 0.55:
         p, q = random_causal_pair(rng)
     elif kind < 0.8:
         p, q = random_spacelike_pair(rng)
     else:
         q, p = random_causal_pair(rng)  # past-directed
-    z = float(rng.uniform(-0.9, 0.9))
-    th1 = float(rng.uniform(-math.pi, math.pi))
-    if rng.uniform() < 0.75:
+    z = _uniform(rng, -0.9, 0.9)
+    th1 = _uniform(rng, -math.pi, math.pi)
+    if rng.random() < 0.75:
         s1 = state_on_parallel(z, th1)
-        s2 = state_on_parallel(z, float(rng.uniform(-math.pi, math.pi)))
+        s2 = state_on_parallel(z, _uniform(rng, -math.pi, math.pi))
     else:
         s1, s2 = random_cross_latitude_pair(rng)
     return ProductState(p, s1), ProductState(q, s2)
@@ -183,10 +195,10 @@ def related_product_pair(
     """A pair that is causally related with a comfortable speed margin."""
     p, q = random_timelike_pair(rng)
     budget = speed_bound(df) * lorentzian_distance(p, q)
-    z = float(rng.uniform(-0.9, 0.9))
-    th1 = float(rng.uniform(-math.pi, math.pi))
-    dth = float(rng.uniform(0.0, min(margin * budget, math.pi)))
-    if rng.uniform() < 0.5:
+    z = _uniform(rng, -0.9, 0.9)
+    th1 = _uniform(rng, -math.pi, math.pi)
+    dth = _uniform(rng, 0.0, min(margin * budget, math.pi))
+    if rng.random() < 0.5:
         dth = -dth
     return (
         ProductState(p, state_on_parallel(z, th1)),
@@ -226,10 +238,9 @@ def verify_clifford(seed: int) -> list[CheckResult]:
         CheckResult("clifford", "steep_symbol_eigenvalues", worst <= 1e-12, worst)
     )
 
-    # lam in [-2, 2) and a1, b1, a2, b2 in [-3, 3), scaled as rng.uniform scales
-    u = rng.random((200, 5))
-    lam = -2.0 + 4.0 * u[:, 0]
-    a1, b1, a2, b2 = (-3.0 + 6.0 * u[:, 1:]).T
+    # lam in [-2, 2) and a1, b1, a2, b2 in [-3, 3)
+    lo = np.array([-2.0, -3.0, -3.0, -3.0, -3.0])
+    lam, a1, b1, a2, b2 = _uniform(rng, lo, -lo, (200, 5)).T
     combined = causal_symbol(lam * a1 + a2, lam * b1 + b2)
     split = lam[:, None, None] * causal_symbol(a1, b1) + causal_symbol(a2, b2)
     worst = float(np.max(np.abs(combined - split)))
@@ -241,11 +252,9 @@ def verify_finite(seed: int, df: FiniteDirac) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
-    worst = 0.0
-    for _ in range(500):
-        a = random_hermitian(rng)
-        closed = df.gap * abs(a[0, 1])
-        worst = max(worst, abs(commutator_norm(df, a) - closed))
+    a = random_hermitian(rng, 500)
+    closed = df.gap * np.hypot(a[:, 0, 1].real, a[:, 0, 1].imag)
+    worst = float(np.max(np.abs(commutator_norm(df, a) - closed)))
     results.append(
         CheckResult("finite", "commutator_norm_closed_form", worst <= 1e-12, worst)
     )
@@ -270,7 +279,7 @@ def verify_finite(seed: int, df: FiniteDirac) -> list[CheckResult]:
 
     worst = -math.inf
     for _ in range(20):
-        z = float(rng.uniform(-0.9, 0.9))
+        z = _uniform(rng, -0.9, 0.9)
         th = rng.uniform(-math.pi, math.pi, 3)
         s = [state_on_parallel(z, t) for t in th]
         d01 = spectral_distance(df, s[0], s[1]).value
@@ -331,10 +340,10 @@ def verify_spacetime(seed: int) -> list[CheckResult]:
 
     violations = 0
     for _ in range(1000):
-        if rng.uniform() < 0.5:
+        if rng.random() < 0.5:
             p = random_event(rng)
-            q = Event(p.t + rng.uniform(0, 2), p.x + rng.uniform(-2, 2))
-            r = Event(q.t + rng.uniform(0, 2), q.x + rng.uniform(-2, 2))
+            q = Event(p.t + _uniform(rng, 0, 2), p.x + _uniform(rng, -2, 2))
+            r = Event(q.t + _uniform(rng, 0, 2), q.x + _uniform(rng, -2, 2))
         else:
             p, q, r = (random_event(rng) for _ in range(3))
         if not causally_precedes(p, p):
@@ -354,8 +363,8 @@ def verify_spacetime(seed: int) -> list[CheckResult]:
     violations = 0
     for _ in range(1000):
         p, q = random_timelike_pair(rng)
-        dt = float(rng.uniform(0.3, 2.5))
-        dx = dt * float(rng.uniform(-0.9, 0.9))
+        dt = _uniform(rng, 0.3, 2.5)
+        dx = dt * _uniform(rng, -0.9, 0.9)
         r = Event(q.t + dt, q.x + dx)
         dpq, dqr, dpr = (
             lorentzian_distance(p, q),
@@ -384,7 +393,7 @@ def verify_spacetime(seed: int) -> list[CheckResult]:
         if not is_causal_function(f, grid):
             failures += 1
     for _ in range(10):
-        lam = float(rng.uniform(0.0, 3.0))
+        lam = _uniform(rng, 0.0, 3.0)
         idx1, idx2 = rng.integers(0, len(causal_fields), 2)
         f, g = causal_fields[idx1], causal_fields[idx2]
         combined = ScalarField(
@@ -525,11 +534,11 @@ def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
             # chained construction so the premises are frequently non-vacuous
             w1, w2 = related_product_pair(rng, df)
             p3 = Event(
-                w2.event.t + float(rng.uniform(0.3, 2.0)),
-                w2.event.x + float(rng.uniform(-0.2, 0.2)),
+                w2.event.t + _uniform(rng, 0.3, 2.0),
+                w2.event.x + _uniform(rng, -0.2, 0.2),
             )
             z = latitude(w1.internal)
-            th3 = longitude(w2.internal) + float(rng.uniform(-0.5, 0.5))
+            th3 = longitude(w2.internal) + _uniform(rng, -0.5, 0.5)
             w3 = ProductState(p3, state_on_parallel(z, th3))
         else:
             w1, w2 = random_product_pair(rng, df)
@@ -577,14 +586,14 @@ def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
     violations = 0
     for i in range(100):
         p, q = random_null_pair(rng)
-        z = float(rng.uniform(-0.9, 0.9))
-        th = float(rng.uniform(-math.pi, math.pi))
+        z = _uniform(rng, -0.9, 0.9)
+        th = _uniform(rng, -math.pi, math.pi)
         s1 = state_on_parallel(z, th)
         if i % 3 == 0:
             s2 = s1
             expected = True
         elif i % 3 == 1:
-            s2 = state_on_parallel(z, th + float(rng.uniform(0.1, 2.0)))
+            s2 = state_on_parallel(z, th + _uniform(rng, 0.1, 2.0))
             expected = False
         else:
             s2 = state_on_parallel(min(z + 0.3, 0.95), th)

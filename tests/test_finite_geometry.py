@@ -15,6 +15,7 @@ import pytest
 from nccausal import (
     DistanceResult,
     FiniteDirac,
+    NotHermitian,
     NotUnitary,
     PoleState,
     ZeroVector,
@@ -225,6 +226,29 @@ def test_commutator_norm_matches_singular_value_oracle():
         oracle = float(np.linalg.svd(d @ a - a @ d, compute_uv=False)[0])
         assert math.isclose(commutator_norm(df, a), oracle, abs_tol=1e-12)
         assert math.isclose(commutator_norm(df, a), df.gap * abs(a[0, 1]), abs_tol=1e-12)
+
+
+def test_commutator_norm_of_a_stack_is_each_matrix_norm_bit_for_bit():
+    rng = np.random.default_rng(11)
+    df = FiniteDirac(-0.7, 1.9)
+    m = rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
+    stack = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    got = commutator_norm(df, stack)
+    assert isinstance(got, np.ndarray) and got.shape == (40,)
+    assert got.tolist() == [commutator_norm(df, a) for a in stack]
+    assert commutator_norm(df, stack.reshape(4, 10, 2, 2)).tolist() == got.reshape(4, 10).tolist()
+
+
+def test_commutator_norm_of_one_matrix_is_a_float():
+    got = commutator_norm(FiniteDirac(0.0, 1.0), np.array([[0, 1], [1, 0]], dtype=complex))
+    assert type(got) is float
+
+
+def test_commutator_norm_rejects_one_non_hermitian_matrix_in_a_stack():
+    stack = np.zeros((5, 2, 2), dtype=complex)
+    stack[3, 0, 1] = 1.0
+    with pytest.raises(NotHermitian):
+        commutator_norm(FiniteDirac(0.0, 1.0), stack)
 
 
 def test_distance_result_validation():

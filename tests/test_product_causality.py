@@ -308,6 +308,18 @@ def test_dictionary_profiles_are_scalar_fields():
         assert verdicts == [True] * (1 + len(BETAS)) + [False] * 2, (p, q)
 
 
+def test_constant_profile_gives_floats_on_floats_and_arrays_on_arrays():
+    jet = monotonicity_profiles(E(0.0, 0.0), E(1.0, 0.0))[0].jet
+    values = jet(0.25, -1.5)
+    assert values == (1.0, 0.0, 0.0) and all(type(v) is float for v in values)
+    assert not any(math.copysign(1.0, v) < 0.0 for v in values)
+    t = np.array([[-0.0, 2.0], [1e300, -3.0]])
+    u, ut, ux = jet(t, -t)
+    for v, want in ((u, 1.0), (ut, 0.0), (ux, 0.0)):
+        assert v.shape == t.shape and v.dtype == float and (v == want).all()
+        assert not np.signbit(v).any()
+
+
 def test_product_symbol_rejects_non_hermitian_input():
     df = FiniteDirac(0.0, 1.0)
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -8,6 +8,7 @@ rapidity sweep never goes below the functional's value."""
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -591,6 +592,24 @@ def test_grid_layout_row_major_t_outer():
 def test_grid_rejects_non_finite_coordinates(bounds):
     with pytest.raises(ValueError):
         Grid(*bounds, 4, 4)
+
+
+def test_grid_checks_its_last_coordinates_without_building_the_axes():
+    tracemalloc.start()
+    try:
+        Grid(0.0, 1.0, 0.0, 1.0, 2 * 10**6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (0.0, 1.0, 1), (0.0, 1.0, 7), (-3.0, 0.1, 30), (1e-3, 1e300, 4),
+    (-1e300, 1e300, 3), (0.3, 0.30000000000000004, 1000), (-5.5, -5.5, 9),
+])
+def test_axis_end_is_the_last_axis_value(lo, hi, n):
+    assert spacetime._axis_end(lo, hi, n) == spacetime._axis(lo, hi, n)[-1]
 
 
 def test_grid_refined_keeps_endpoints():

@@ -1,25 +1,32 @@
 """The verify suites themselves: each suite reproduces its own lines of the
 committed seed-42 artifact when run alone, the distance and oracle rows fail
 exactly when their checks do, the stacked symbol checks fail when a planted
-fault reaches the functions they call, and the one known unsound cone
-certificate is pinned until the certificate is made sound."""
+fault reaches the functions they call, the one known unsound cone
+certificate is pinned until the certificate is made sound, and the shared
+generators draw the same stream as reference copies written with
+``Generator.uniform``."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nccausal.verify as verify
 from nccausal import (
     CausalElement,
     Event,
     Grid,
+    ProductState,
     causal_symbol,
     causally_related,
     hermitian_eigenvalues,
     lorentzian_distance,
     product_symbol,
+    speed_bound,
     state_on_parallel,
     steep_symbol,
 )
@@ -192,3 +199,143 @@ def test_steep_sz_atoms_leave_the_cone_between_coarse_grid_points():
 def test_steep_sz_atoms_are_not_certified_on_the_coarse_grid():
     for atom in _steep_sz_atoms():
         assert not atom.is_certified(COARSE, DIRAC)
+
+
+# Reference copies of the shared generators, drawing every scalar through
+# Generator.uniform. verify's own generators draw through ``_uniform`` and
+# must reproduce these draws and the generator's state bit for bit, so that
+# ``verify --out`` and every test that draws from them see the same numbers.
+
+
+def _ref_event(rng, box=3.0):
+    return Event(float(rng.uniform(-box, box)), float(rng.uniform(-box, box)))
+
+
+def _ref_causal_pair(rng, box=3.0, max_step=3.0):
+    p = _ref_event(rng, box)
+    dt = float(rng.uniform(0.0, max_step))
+    dx = dt * float(rng.uniform(-1.0, 1.0))
+    return p, Event(p.t + dt, p.x + dx)
+
+
+def _ref_timelike_pair(rng, box=3.0, min_dt=0.3):
+    p = _ref_event(rng, box)
+    dt = float(rng.uniform(min_dt, min_dt + 2.5))
+    dx = dt * float(rng.uniform(-0.9, 0.9))
+    return p, Event(p.t + dt, p.x + dx)
+
+
+def _ref_spacelike_pair(rng, box=3.0):
+    p = _ref_event(rng, box)
+    dx = float(rng.uniform(0.3, 2.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
+    dt = abs(dx) * float(rng.uniform(-0.95, 0.95))
+    return p, Event(p.t + dt, p.x + dx)
+
+
+def _ref_null_pair(rng):
+    t = float(rng.integers(-192, 193)) / 64.0
+    x = float(rng.integers(-192, 193)) / 64.0
+    s = float(rng.integers(13, 129)) / 64.0
+    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    return Event(t, x), Event(t + s, x + sign * s)
+
+
+def _ref_parallel_pair(rng, z_max=0.9, min_dtheta=0.3):
+    z = float(rng.uniform(-z_max, z_max))
+    th = float(rng.uniform(-math.pi, math.pi))
+    dth = float(rng.uniform(min_dtheta, math.pi))
+    if rng.uniform() < 0.5:
+        dth = -dth
+    return state_on_parallel(z, th), state_on_parallel(z, th + dth)
+
+
+def _ref_cross_latitude_pair(rng, min_gap=0.05):
+    z1 = float(rng.uniform(-0.95, 0.95))
+    shift = float(rng.uniform(min_gap, 0.8))
+    z2 = z1 + shift if z1 + shift <= 0.98 else z1 - shift
+    th1 = float(rng.uniform(-math.pi, math.pi))
+    th2 = float(rng.uniform(-math.pi, math.pi))
+    return state_on_parallel(z1, th1), state_on_parallel(z2, th2)
+
+
+def _ref_product_pair(rng, df):
+    kind = rng.uniform()
+    if kind < 0.55:
+        p, q = _ref_causal_pair(rng)
+    elif kind < 0.8:
+        p, q = _ref_spacelike_pair(rng)
+    else:
+        q, p = _ref_causal_pair(rng)
+    z = float(rng.uniform(-0.9, 0.9))
+    th1 = float(rng.uniform(-math.pi, math.pi))
+    if rng.uniform() < 0.75:
+        s1 = state_on_parallel(z, th1)
+        s2 = state_on_parallel(z, float(rng.uniform(-math.pi, math.pi)))
+    else:
+        s1, s2 = _ref_cross_latitude_pair(rng)
+    return ProductState(p, s1), ProductState(q, s2)
+
+
+def _ref_related_product_pair(rng, df, margin=0.8):
+    p, q = _ref_timelike_pair(rng)
+    budget = speed_bound(df) * lorentzian_distance(p, q)
+    z = float(rng.uniform(-0.9, 0.9))
+    th1 = float(rng.uniform(-math.pi, math.pi))
+    dth = float(rng.uniform(0.0, min(margin * budget, math.pi)))
+    if rng.uniform() < 0.5:
+        dth = -dth
+    return (
+        ProductState(p, state_on_parallel(z, th1)),
+        ProductState(q, state_on_parallel(z, th1 + dth)),
+    )
+
+
+GENERATORS = [
+    (verify.random_event, _ref_event, ()),
+    (verify.random_causal_pair, _ref_causal_pair, ()),
+    (verify.random_timelike_pair, _ref_timelike_pair, ()),
+    (verify.random_spacelike_pair, _ref_spacelike_pair, ()),
+    (verify.random_null_pair, _ref_null_pair, ()),
+    (verify.random_parallel_pair, _ref_parallel_pair, ()),
+    (verify.random_cross_latitude_pair, _ref_cross_latitude_pair, ()),
+    (verify.random_product_pair, _ref_product_pair, (DIRAC,)),
+    (verify.related_product_pair, _ref_related_product_pair, (DIRAC,)),
+]
+
+
+@pytest.mark.parametrize(
+    "generator, reference, args", GENERATORS, ids=[g.__name__ for g, _, _ in GENERATORS]
+)
+def test_generators_draw_the_reference_stream(generator, reference, args):
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert generator(rng, *args) == reference(ref, *args), seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(finite, finite, st.integers(0, 2**32 - 1))
+def test_uniform_helper_is_generator_uniform_bit_for_bit(a, b, seed):
+    lo, hi = min(a, b), max(a, b)
+    assume(math.isfinite(hi - lo))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        assert verify._uniform(rng, lo, hi).hex() == ref.uniform(lo, hi).hex()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_hermitian_stack_is_the_sequential_draws():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    stack = verify.random_hermitian(rng, 500)
+    for a in stack:
+        m = 2.0 * (ref.standard_normal((2, 2)) + 1j * ref.standard_normal((2, 2)))
+        assert np.array_equal(a, 0.5 * (m + m.conj().T))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # the row's closed form, taken as a hypot of the parts, is the scalar
+    # complex abs of each entry (numpy's array abs can differ in the last bit)
+    closed = DIRAC.gap * np.hypot(stack[:, 0, 1].real, stack[:, 0, 1].imag)
+    assert closed.tolist() == [DIRAC.gap * abs(a[0, 1]) for a in stack]
