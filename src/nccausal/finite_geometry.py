@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,48 @@ def state_on_parallel(z: float, theta: float) -> InternalState:
     return InternalState(xi1, xi2, _bloch(xi1, xi2))
 
 
+def _mapped(f, *arrays) -> np.ndarray:
+    """The scalar function f applied element by element to arrays of one
+    shape: where numpy's array versions of a libm function round
+    differently from the scalar one, this keeps the scalar's bits."""
+    shape = np.shape(arrays[0])
+    flat = (np.ravel(a).tolist() for a in arrays)
+    return np.fromiter(map(f, *flat), dtype=float, count=math.prod(shape)).reshape(shape)
+
+
+def parallel_bloch(z, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Bloch coordinates (x, y, z) of ``state_on_parallel(z, theta)``
+    over stacks of latitudes and angles that broadcast together (floats
+    count as stacks of one), bit for bit, as three arrays; a latitude
+    outside [-1, 1] or a non-finite angle raises ValueError.
+
+    The complex arithmetic of :func:`state_on_parallel` and ``_bloch``, one
+    real operation at a time, zero terms included so that every sign of zero
+    comes out the same. Cosine, sine and the squares are the scalar ``math``
+    and ``**`` ones, mapped over the arrays, and the modulus is C's hypot,
+    which complex ``abs`` calls: numpy's array cosine, sine and complex
+    ``abs``, and its squares, can differ in the last bit. The south pole
+    z = -1 takes :func:`make_state`'s phase fix, as there.
+    """
+    z, theta = np.broadcast_arrays(*np.atleast_1d(np.asarray(z, float), np.asarray(theta, float)))
+    if not (np.all(np.abs(z) <= 1.0) and np.all(np.isfinite(theta))):
+        raise ValueError("latitudes must lie in [-1, 1] and angles on the parallel be finite")
+    a = np.sqrt(0.5 * (1.0 + z))
+    b = np.sqrt(0.5 * (1.0 - z))
+    angle = 0.0 + theta  # the imaginary part of 1j * theta
+    c, s = _mapped(math.cos, angle), _mapped(math.sin, angle)
+    re, im = c * b - s * 0.0, c * 0.0 + s * b  # e^(i theta) * b
+    # conj(xi1) * xi2 with xi1 = a + 0j
+    x = 2.0 * (a * re - (-0.0) * im)
+    y = 2.0 * (a * im + (-0.0) * re)
+    # |xi|^2 as ``abs(xi) ** 2`` takes it: C's pow, not a * a
+    two = np.full(a.shape, 2.0)
+    z_out = _mapped(pow, a, two) - _mapped(pow, np.hypot(re, im), two)
+    for i in map(tuple, np.argwhere(z == -1.0)):
+        x[i], y[i], z_out[i] = state_on_parallel(-1.0, float(theta[i])).bloch
+    return x, y, z_out
+
+
 def latitude(s: InternalState) -> float:
     return s.bloch[2]
 
@@ -149,9 +192,14 @@ def longitude(s: InternalState) -> float:
     return theta
 
 
+def bloch_close(b1: Sequence[float], b2: Sequence[float], tol: float) -> bool:
+    """Proximity of two Bloch vectors, the test behind :func:`states_close`."""
+    return math.dist(b1, b2) <= tol
+
+
 def states_close(s1: InternalState, s2: InternalState, tol: float) -> bool:
     """Bloch-vector proximity; the canonical way to compare states up to tol."""
-    return math.dist(s1.bloch, s2.bloch) <= tol
+    return bloch_close(s1.bloch, s2.bloch, tol)
 
 
 def state_eval(s: InternalState, a: np.ndarray) -> float:

@@ -23,9 +23,13 @@ plane; a latitude failure by the constant +-sz, which commutes with D_F and
 so has a zero symbol. A pair whose base is causal and whose latitudes agree
 gets no witness: that search is open.
 
-Reachable arcs have two entry points with one closed form: one event at a
-time (the API of single answers, and the tests' oracle) and a whole grid in
-one array pass, which `scan` uses.
+The predicate and the reachable arcs each have two entry points with one
+set of formulas: one pair or event at a time (the API of single answers,
+and the tests' oracle), and a stack of pairs or a whole grid as arrays,
+which the verify gate and `scan` use. The array predicate takes the Bloch
+coordinates of the states and answers every field of the scalar verdict,
+bit for bit: where numpy's array arctan2 can round differently from
+``math.atan2``, the longitudes go through the scalar function.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,8 +45,10 @@ from .clifford import ensure_hermitian, standard_basis
 from .errors import CoordinateOverflow, GridTooSmall, NonCausalSegment, PoleState
 from .finite_geometry import (
     LATITUDE_TOL,
+    POLE_TOL,
     FiniteDirac,
     InternalState,
+    _mapped,
     is_pole,
     latitude,
     longitude,
@@ -55,6 +61,7 @@ from .spacetime import (
     _chord,
     _scaled,
     causal_future,
+    causal_order,
     causally_precedes,
     lorentzian_distance,
 )
@@ -228,6 +235,75 @@ def causally_related(
         base_causal=base,
         latitude_gap=zgap,
         delta_theta=dtheta,
+        theta_budget=budget,
+    )
+
+
+class ProductStates(NamedTuple):
+    """A stack of product states as arrays of one shape: the events'
+    coordinates (t, x) and the internal states' Bloch coordinates (x, y, z),
+    as :func:`nccausal.finite_geometry.parallel_bloch` returns them."""
+
+    event: tuple[np.ndarray, np.ndarray]
+    bloch: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class CausalVerdicts(NamedTuple):
+    """The fields of :class:`CausalVerdict` over a stack of pairs, one array
+    each: ``reason`` holds a :class:`NotRelatedReason` or None per pair, and
+    ``delta_theta`` is nan where the longitude clause is vacuous."""
+
+    related: np.ndarray
+    reason: np.ndarray
+    base_causal: np.ndarray
+    latitude_gap: np.ndarray
+    delta_theta: np.ndarray
+    theta_budget: np.ndarray
+
+
+def _longitudes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`nccausal.finite_geometry.longitude` of Bloch coordinates x and
+    y, element by element through ``math.atan2`` (numpy's array arctan2 can
+    differ in the last bit), with no pole check."""
+    theta = _mapped(math.atan2, y, x)
+    return np.where(theta <= -math.pi, theta + 2.0 * math.pi, theta)
+
+
+def causal_verdicts(w1: ProductStates, w2: ProductStates, df: FiniteDirac) -> CausalVerdicts:
+    """:func:`causally_related` pair by pair over two stacks of product
+    states, with its formulas, bit for bit: the base order and distance of
+    :func:`nccausal.spacetime.causal_order`, the latitude gap, the pole
+    test, and :func:`minimal_angle_gap` of the two longitudes against the
+    budget plus ``SPEED_SLACK``. The first failing clause names each reason.
+    A distance beyond the double range raises :class:`CoordinateOverflow`,
+    as the scalar predicate does.
+    """
+    base, tau = causal_order(w1.event, w2.event)
+    x1, y1, z1, x2, y2, z2, base, tau = np.broadcast_arrays(*w1.bloch, *w2.bloch, base, tau)
+    zgap = np.abs(z1 - z2)
+    with np.errstate(over="ignore"):
+        budget = speed_bound(df) * tau
+    pole_pair = (np.abs(z1) >= 1.0 - POLE_TOL) | (np.abs(z2) >= 1.0 - POLE_TOL)
+    d = np.remainder(_longitudes(x2, y2) - _longitudes(x1, y1), TWO_PI)
+    dtheta = np.minimum(d, TWO_PI - d)
+
+    latitude_fails = zgap > LATITUDE_TOL
+    speed_fails = ~pole_pair & (dtheta > budget + SPEED_SLACK)
+    reason = np.select(
+        [~base, latitude_fails, speed_fails],
+        [
+            NotRelatedReason.BASE_NOT_CAUSAL,
+            NotRelatedReason.LATITUDE_MISMATCH,
+            NotRelatedReason.SPEED_LIMIT_EXCEEDED,
+        ],
+        None,
+    )
+    return CausalVerdicts(
+        related=base & ~latitude_fails & ~speed_fails,
+        reason=reason,
+        base_causal=base,
+        latitude_gap=zgap,
+        delta_theta=np.where(pole_pair, np.nan, dtheta),
         theta_budget=budget,
     )
 

@@ -89,27 +89,27 @@ def lorentzian_distance(p: Event, q: Event) -> float:
     return math.sqrt(max(interval, 0.0))
 
 
-def causal_future(p: Event, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`causally_precedes` and :func:`lorentzian_distance` from p to
-    every event of the grid, t-major, as two flat arrays.
+def causal_order(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`causally_precedes` and :func:`lorentzian_distance` pair by
+    pair: p and q are (t, x) pairs of arrays (or floats) that broadcast to
+    one shape, and the two answers are arrays of that shape.
 
-    The same formulas element by element, bit for bit: rows whose squared
+    The same formulas element by element, bit for bit: pairs whose squared
     interval is not finite, or whose two differences both overflow, are
     worked on at 2**-RESCALE_EXP scale, and the first distance beyond the
-    double range, in t-major order, raises :class:`CoordinateOverflow`.
+    double range, in flat order, raises :class:`CoordinateOverflow`.
     """
-    t, x = grid.coordinates()
+    pt, px, qt, qx = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (*p, *q)))
     with np.errstate(over="ignore", invalid="ignore"):
-        dt, dx = t - p.t, x - p.x
+        dt, dx = qt - pt, qx - px
         adx = np.abs(dx)
         interval = dt * dt - dx * dx
         precedes = dt >= adx
         tau = np.where(precedes, np.sqrt(np.maximum(interval, 0.0)), 0.0)
         big = precedes & ~np.isfinite(interval)
         if big.any():
-            s = _scaled(p)
-            sdt = np.ldexp(t[big], -RESCALE_EXP) - s.t
-            sdx = np.ldexp(x[big], -RESCALE_EXP) - s.x
+            sdt = np.ldexp(qt[big], -RESCALE_EXP) - np.ldexp(pt[big], -RESCALE_EXP)
+            sdx = np.ldexp(qx[big], -RESCALE_EXP) - np.ldexp(px[big], -RESCALE_EXP)
             both_inf = np.isinf(dt[big]) & np.isinf(adx[big])
             precedes[big] = np.where(both_inf, sdt >= np.abs(sdx), True)
             stau = np.sqrt(np.maximum(sdt * sdt - sdx * sdx, 0.0))
@@ -118,6 +118,12 @@ def causal_future(p: Event, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
             if over.any():
                 _unscaled(float(stau[np.argmax(over)]))  # raises CoordinateOverflow
     return precedes, tau
+
+
+def causal_future(p: Event, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`causal_order` from p to every event of the grid, t-major, as
+    two flat arrays."""
+    return causal_order((p.t, p.x), grid.coordinates())
 
 
 @dataclass(frozen=True)

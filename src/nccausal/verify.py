@@ -4,20 +4,28 @@ Each suite returns :class:`CheckResult` rows, the package's one registry of
 invariant checks: the CLI prints one line per row and can write them as a
 CSV artifact, and the acceptance tests assert rows by name. All randomness
 flows from a single seed, so repeated runs are bit-identical;
-``tests/data/verify_seed42.csv`` and ``tests/data/verify_seed3.csv`` pin
-every row. A scalar draw goes through ``_uniform``, which gives
-``Generator.uniform``'s value and generator state at the cost of one
-``Generator.random``. A fixed-size sample set checked by a library call that
-takes arrays is drawn as one array, in the generator's per-sample order, and
-checked in one stacked call; samples that branch on a draw stay per sample.
+``tests/data/verify_seed42.csv``, ``verify_seed3.csv`` and
+``verify_seed0.csv`` pin every row. A scalar draw goes through ``_uniform``,
+which gives ``Generator.uniform``'s value and generator state at the cost of
+one ``Generator.random``. A sample set checked by a library call that takes
+arrays is drawn as one block, in the generator's per-sample order, and
+checked in stacked calls. Samples whose number of draws branches on a draw
+come from a block of an upper bound of doubles: one walk over the branch
+draws finds each sample's start, the samples are gathered from the block,
+and the generator is rewound and draws the doubles used again, so it ends
+where the scalar draws would.
 
-The seeded generators at the top are shared with the test suite.
+The seeded generators at the top are shared with the test suite. Each
+sample formula is written once, over a stack; a scalar generator is a
+stack of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,21 +38,25 @@ from .clifford import (
 from .finite_geometry import (
     FiniteDirac,
     InternalState,
+    bloch_close,
     commutator_norm,
     divergence_witness,
     latitude,
     longitude,
+    parallel_bloch,
     parallel_distance_closed_form,
     spectral_distance,
     state_on_parallel,
-    states_close,
     unitary_conjugate,
 )
 from .product_causality import (
     CausalElement,
     ProductState,
+    ProductStates,
     _boost_tanh_profile,
     _const_profile,
+    _longitudes,
+    causal_verdicts,
     causally_related,
     curve_oracle,
     product_symbol,
@@ -56,7 +68,7 @@ from .spacetime import (
     ScalarField,
     affine_field,
     boost_field,
-    causally_precedes,
+    causal_order,
     is_causal_function,
     lorentz_distance_functional,
     lorentzian_distance,
@@ -79,44 +91,93 @@ class CheckResult:
 # --------------------------------------------------------------------------
 
 
+def _from_unit(r, lo, hi):
+    """``Generator.uniform(lo, hi)``'s value for the unit double r (or an
+    array of them): numpy draws it as ``lo + (hi - lo) * next_double``."""
+    return lo + (hi - lo) * r
+
+
 def _uniform(rng: np.random.Generator, lo, hi, size=None):
     """The draw ``rng.uniform(lo, hi, size)``, bit for bit and with the same
-    generator state, without the cost of ``Generator.uniform``'s dispatch:
-    numpy draws it as ``lo + (hi - lo) * next_double``."""
-    return lo + (hi - lo) * rng.random(size)
+    generator state, without the cost of ``Generator.uniform``'s dispatch."""
+    return _from_unit(rng.random(size), lo, hi)
 
 
-def random_event(rng: np.random.Generator, box: float = 3.0) -> Event:
-    return Event(_uniform(rng, -box, box), _uniform(rng, -box, box))
+# Each sample formula is written once, over a stack: row i of r holds
+# sample i's doubles in the order that drawing them one by one takes them,
+# and the sample comes out as arrays of coordinates. The scalar generators
+# are stacks of one.
 
 
-def random_causal_pair(
-    rng: np.random.Generator, box: float = 3.0, max_step: float = 3.0
-) -> tuple[Event, Event]:
-    """p and a point of its closed future cone (timelike to lightlike mix)."""
-    p = random_event(rng, box)
-    dt = _uniform(rng, 0.0, max_step)
-    dx = dt * _uniform(rng, -1.0, 1.0)
-    return p, Event(p.t + dt, p.x + dx)
+def _event_stack(r: np.ndarray):
+    """Events uniform in [-3, 3)^2, as (t, x), from the draws r[:, 0:2]."""
+    return _from_unit(r[:, 0], -3.0, 3.0), _from_unit(r[:, 1], -3.0, 3.0)
 
 
-def random_timelike_pair(
-    rng: np.random.Generator, box: float = 3.0, min_dt: float = 0.3
-) -> tuple[Event, Event]:
-    p = random_event(rng, box)
-    dt = _uniform(rng, min_dt, min_dt + 2.5)
-    dx = dt * _uniform(rng, -0.9, 0.9)
-    return p, Event(p.t + dt, p.x + dx)
+def _causal_pair_stack(r: np.ndarray):
+    """An event p and a point of its closed future cone (timelike to
+    lightlike mix), from the draws r[:, 0:4]."""
+    pt, px = _event_stack(r)
+    dt = _from_unit(r[:, 2], 0.0, 3.0)
+    dx = dt * _from_unit(r[:, 3], -1.0, 1.0)
+    return (pt, px), (pt + dt, px + dx)
 
 
-def random_spacelike_pair(
-    rng: np.random.Generator, box: float = 3.0
-) -> tuple[Event, Event]:
-    """Pair with |dt| <= 0.95 |dx|, so neither precedes the other."""
-    p = random_event(rng, box)
-    dx = _uniform(rng, 0.3, 2.5) * (1.0 if rng.random() < 0.5 else -1.0)
-    dt = abs(dx) * _uniform(rng, -0.95, 0.95)
-    return p, Event(p.t + dt, p.x + dx)
+def _timelike_pair_stack(r: np.ndarray):
+    """An event p and a point 0.3 to 2.8 later at a speed below 0.9, from
+    the draws r[:, 0:4]."""
+    pt, px = _event_stack(r)
+    dt = _from_unit(r[:, 2], 0.3, 0.3 + 2.5)
+    dx = dt * _from_unit(r[:, 3], -0.9, 0.9)
+    return (pt, px), (pt + dt, px + dx)
+
+
+def _spacelike_pair_stack(r: np.ndarray):
+    """A pair with |dt| <= 0.95 |dx|, so neither precedes the other, from
+    the draws r[:, 0:5]."""
+    pt, px = _event_stack(r)
+    dx = _from_unit(r[:, 2], 0.3, 2.5) * np.where(r[:, 3] < 0.5, 1.0, -1.0)
+    dt = np.abs(dx) * _from_unit(r[:, 4], -0.95, 0.95)
+    return (pt, px), (pt + dt, px + dx)
+
+
+def _cross_latitude_stack(r: np.ndarray):
+    """Two states on parallels 0.05 to 0.8 apart, as (z, theta), from the
+    draws r[:, 0:4]."""
+    z1 = _from_unit(r[:, 0], -0.95, 0.95)
+    shift = _from_unit(r[:, 1], 0.05, 0.8)
+    z2 = np.where(z1 + shift <= 0.98, z1 + shift, z1 - shift)
+    th1 = _from_unit(r[:, 2], -math.pi, math.pi)
+    return (z1, th1), (z2, _from_unit(r[:, 3], -math.pi, math.pi))
+
+
+def _first(columns) -> tuple[float, ...]:
+    """Sample 0 of a stack's columns, as floats."""
+    return tuple(c.item() for c in columns)
+
+
+def _one_event_pair(rng: np.random.Generator, stack, draws: int) -> tuple[Event, Event]:
+    p, q = stack(rng.random((1, draws)))
+    return Event(*_first(p)), Event(*_first(q))
+
+
+def random_event(rng: np.random.Generator) -> Event:
+    return Event(*_first(_event_stack(rng.random((1, 2)))))
+
+
+def random_causal_pair(rng: np.random.Generator) -> tuple[Event, Event]:
+    """One pair of :func:`_causal_pair_stack`."""
+    return _one_event_pair(rng, _causal_pair_stack, 4)
+
+
+def random_timelike_pair(rng: np.random.Generator) -> tuple[Event, Event]:
+    """One pair of :func:`_timelike_pair_stack`."""
+    return _one_event_pair(rng, _timelike_pair_stack, 4)
+
+
+def random_spacelike_pair(rng: np.random.Generator) -> tuple[Event, Event]:
+    """One pair of :func:`_spacelike_pair_stack`."""
+    return _one_event_pair(rng, _spacelike_pair_stack, 5)
 
 
 def random_null_pair(rng: np.random.Generator) -> tuple[Event, Event]:
@@ -144,14 +205,11 @@ def random_parallel_pair(
 
 
 def random_cross_latitude_pair(
-    rng: np.random.Generator, min_gap: float = 0.05
+    rng: np.random.Generator,
 ) -> tuple[InternalState, InternalState]:
-    z1 = _uniform(rng, -0.95, 0.95)
-    shift = _uniform(rng, min_gap, 0.8)
-    z2 = z1 + shift if z1 + shift <= 0.98 else z1 - shift
-    th1 = _uniform(rng, -math.pi, math.pi)
-    th2 = _uniform(rng, -math.pi, math.pi)
-    return state_on_parallel(z1, th1), state_on_parallel(z2, th2)
+    """One pair of :func:`_cross_latitude_stack`."""
+    s1, s2 = _cross_latitude_stack(rng.random((1, 4)))
+    return state_on_parallel(*_first(s1)), state_on_parallel(*_first(s2))
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
@@ -168,42 +226,168 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
+# --------------------------------------------------------------------------
+# Stacked draws: a loop's samples as one block of doubles, in the order
+# that drawing them one by one takes them, mapped by the stack formulas
+# above; a single product pair is a stack of one.
+# --------------------------------------------------------------------------
+
+
+class PairStack(NamedTuple):
+    """n product pairs as arrays: the events p and q as (t, x), and the
+    states as the (z, theta) of :func:`state_on_parallel`."""
+
+    p: tuple[np.ndarray, np.ndarray]
+    q: tuple[np.ndarray, np.ndarray]
+    s1: tuple[np.ndarray, np.ndarray]
+    s2: tuple[np.ndarray, np.ndarray]
+
+    def states(self) -> tuple[ProductStates, ProductStates]:
+        return (
+            ProductStates(self.p, parallel_bloch(*self.s1)),
+            ProductStates(self.q, parallel_bloch(*self.s2)),
+        )
+
+    def pairs(self) -> Iterator[tuple[ProductState, ProductState]]:
+        """The pairs one by one, as product states."""
+        columns = (a.tolist() for c in (self.p, self.q, self.s1, self.s2) for a in c)
+        for pt, px, qt, qx, z1, th1, z2, th2 in zip(*columns):
+            yield (
+                ProductState(Event(pt, px), state_on_parallel(z1, th1)),
+                ProductState(Event(qt, qx), state_on_parallel(z2, th2)),
+            )
+
+
+def _pick(mask, a: tuple, b: tuple) -> tuple:
+    """Element by element, the arrays of a where mask holds, else of b."""
+    return tuple(np.where(mask, x, y) for x, y in zip(a, b))
+
+
+# random_product_pairs' branches: a future-directed causal pair below
+# FUTURE_KIND, a spacelike pair below SPACELIKE_KIND, else a past-directed
+# one; both states on one parallel below SHARED_PARALLEL
+FUTURE_KIND, SPACELIKE_KIND, SHARED_PARALLEL = 0.55, 0.8, 0.75
+PRODUCT_PAIR_DRAWS = 13  # the most doubles that one product pair draws
+
+
+def _product_pair_end(draws: Sequence[float], k: int) -> int:
+    """Where the next sample starts when a product pair starts at draws[k]:
+    after the kind, a causal (4 draws) or spacelike (5) pair, the latitude,
+    the angle and the parallel's coin, one more angle or a cross-latitude
+    pair (4)."""
+    j = k + (6 if FUTURE_KIND <= draws[k] < SPACELIKE_KIND else 5)
+    return j + (4 if draws[j + 2] < SHARED_PARALLEL else 7)
+
+
+def _product_pair_stack(draws: np.ndarray, starts) -> PairStack:
+    """The product pairs that start at draws[starts]."""
+    r = draws[np.asarray(starts)[:, None] + np.arange(PRODUCT_PAIR_DRAWS)]
+    kind = r[:, 0]
+    spacelike = (FUTURE_KIND <= kind) & (kind < SPACELIKE_KIND)
+    past = kind >= SPACELIKE_KIND
+    causal_p, causal_q = _causal_pair_stack(r[:, 1:])
+    space_p, space_q = _spacelike_pair_stack(r[:, 1:])
+    p = _pick(spacelike, space_p, _pick(past, causal_q, causal_p))
+    q = _pick(spacelike, space_q, _pick(past, causal_p, causal_q))
+    tail = np.where(spacelike[:, None], r[:, 6:], r[:, 5:-1])
+    z = _from_unit(tail[:, 0], -0.9, 0.9)
+    th1 = _from_unit(tail[:, 1], -math.pi, math.pi)
+    shared = tail[:, 2] < SHARED_PARALLEL
+    cross1, cross2 = _cross_latitude_stack(tail[:, 3:])
+    s1 = _pick(shared, (z, th1), cross1)
+    s2 = _pick(shared, (z, _from_unit(tail[:, 3], -math.pi, math.pi)), cross2)
+    return PairStack(p, q, s1, s2)
+
+
+def _branching_block(rng: np.random.Generator, bound: int, walk):
+    """A block of ``bound`` doubles for samples that draw a varying number
+    of them, and the sample starts that ``walk(draws)`` finds in it.
+
+    ``walk`` returns the starts and the number of doubles used; the
+    generator is then rewound and draws that number again, so it ends where
+    drawing just those would leave it.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    draws = rng.random(bound)
+    # a memoryview reads single doubles as floats, without listing them all
+    starts, used = walk(memoryview(draws))
+    bits.state = state
+    rng.random(used)
+    return draws, starts
+
+
+def random_product_pairs(rng: np.random.Generator, df: FiniteDirac, n: int) -> PairStack:
+    """n mixed pairs covering every verdict class (``df`` is unused). Each
+    draws its kind: a future-directed :func:`_causal_pair_stack` pair, a
+    :func:`_spacelike_pair_stack` pair or a past-directed causal pair; then a
+    latitude in [-0.9, 0.9) and an angle; then either a second angle on that
+    parallel or a :func:`_cross_latitude_stack` pair. Those are 9 to 13
+    doubles, so the pairs come from a block of 13 n."""
+
+    def walk(draws):
+        starts, k = [], 0
+        for _ in range(n):
+            starts.append(k)
+            k = _product_pair_end(draws, k)
+        return starts, k
+
+    return _product_pair_stack(*_branching_block(rng, PRODUCT_PAIR_DRAWS * n, walk))
+
+
 def random_product_pair(
     rng: np.random.Generator, df: FiniteDirac
 ) -> tuple[ProductState, ProductState]:
-    """Mixed pair generator covering every verdict class."""
-    kind = rng.random()
-    if kind < 0.55:
-        p, q = random_causal_pair(rng)
-    elif kind < 0.8:
-        p, q = random_spacelike_pair(rng)
-    else:
-        q, p = random_causal_pair(rng)  # past-directed
-    z = _uniform(rng, -0.9, 0.9)
-    th1 = _uniform(rng, -math.pi, math.pi)
-    if rng.random() < 0.75:
-        s1 = state_on_parallel(z, th1)
-        s2 = state_on_parallel(z, _uniform(rng, -math.pi, math.pi))
-    else:
-        s1, s2 = random_cross_latitude_pair(rng)
-    return ProductState(p, s1), ProductState(q, s2)
+    """One pair of :func:`random_product_pairs`."""
+    return next(random_product_pairs(rng, df, 1).pairs())
+
+
+def _related_pair_stack(r: np.ndarray, df: FiniteDirac) -> PairStack:
+    """related_product_pairs from the draws r[:, 0:8]."""
+    p, q = _timelike_pair_stack(r)
+    budget = speed_bound(df) * causal_order(p, q)[1]
+    z = _from_unit(r[:, 4], -0.9, 0.9)
+    th1 = _from_unit(r[:, 5], -math.pi, math.pi)
+    dth = _from_unit(r[:, 6], 0.0, np.minimum(0.8 * budget, math.pi))
+    dth = np.where(r[:, 7] < 0.5, -dth, dth)
+    return PairStack(p, q, (z, th1), (z, th1 + dth))
+
+
+def related_product_pairs(rng: np.random.Generator, df: FiniteDirac, n: int) -> PairStack:
+    """n causally related pairs with a comfortable speed margin: a
+    :func:`_timelike_pair_stack` pair, a latitude and an angle, and a turn of up
+    to 0.8 of the speed budget either way (8 doubles each)."""
+    return _related_pair_stack(rng.random((n, 8)), df)
 
 
 def related_product_pair(
-    rng: np.random.Generator, df: FiniteDirac, margin: float = 0.8
+    rng: np.random.Generator, df: FiniteDirac
 ) -> tuple[ProductState, ProductState]:
-    """A pair that is causally related with a comfortable speed margin."""
-    p, q = random_timelike_pair(rng)
-    budget = speed_bound(df) * lorentzian_distance(p, q)
-    z = _uniform(rng, -0.9, 0.9)
-    th1 = _uniform(rng, -math.pi, math.pi)
-    dth = _uniform(rng, 0.0, min(margin * budget, math.pi))
-    if rng.random() < 0.5:
-        dth = -dth
-    return (
-        ProductState(p, state_on_parallel(z, th1)),
-        ProductState(q, state_on_parallel(z, th1 + dth)),
-    )
+    """One pair of :func:`related_product_pairs`."""
+    return next(related_product_pairs(rng, df, 1).pairs())
+
+
+def order_triples(rng: np.random.Generator, n: int):
+    """The events p, q, r of n samples of the causal-order axioms: with
+    probability one half a chain, each event a step of up to 2 in t and of
+    up to 2 in |x| after the last, else three random events."""
+    r = rng.random((n, 7))
+    chain = r[:, 0] < 0.5
+    p = _event_stack(r[:, 1:])
+    q_chain = (p[0] + _from_unit(r[:, 3], 0, 2), p[1] + _from_unit(r[:, 4], -2, 2))
+    r_chain = (q_chain[0] + _from_unit(r[:, 5], 0, 2), q_chain[1] + _from_unit(r[:, 6], -2, 2))
+    q = _pick(chain, q_chain, _event_stack(r[:, 3:]))
+    return p, q, _pick(chain, r_chain, _event_stack(r[:, 5:]))
+
+
+def timelike_triples(rng: np.random.Generator, n: int):
+    """The events p, q, r of n samples of the reverse triangle inequality:
+    a random timelike pair p, q and a timelike step from q to r."""
+    r = rng.random((n, 6))
+    p, q = _timelike_pair_stack(r)
+    dt = _from_unit(r[:, 4], 0.3, 2.5)
+    dx = dt * _from_unit(r[:, 5], -0.9, 0.9)
+    return p, q, (q[0] + dt, q[1] + dx)
 
 
 # --------------------------------------------------------------------------
@@ -334,52 +518,39 @@ def verify_finite(seed: int, df: FiniteDirac) -> list[CheckResult]:
     return results
 
 
-def verify_spacetime(seed: int) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    rng = np.random.default_rng(seed)
-
-    violations = 0
-    for _ in range(1000):
-        if rng.random() < 0.5:
-            p = random_event(rng)
-            q = Event(p.t + _uniform(rng, 0, 2), p.x + _uniform(rng, -2, 2))
-            r = Event(q.t + _uniform(rng, 0, 2), q.x + _uniform(rng, -2, 2))
-        else:
-            p, q, r = (random_event(rng) for _ in range(3))
-        if not causally_precedes(p, p):
-            violations += 1
-        if causally_precedes(p, q) and causally_precedes(q, p) and p != q:
-            violations += 1
-        if (
-            causally_precedes(p, q)
-            and causally_precedes(q, r)
-            and not causally_precedes(p, r)
-        ):
-            violations += 1
-    results.append(
-        CheckResult("spacetime", "causal_order_axioms", violations == 0, violations)
+def _spacetime_order_rows(rng: np.random.Generator) -> list[CheckResult]:
+    """The causal-order axioms and the reverse triangle inequality, each on
+    1000 samples drawn as one block and checked in stacked calls."""
+    p, q, r = order_triples(rng, 1000)
+    pp, pq, qp, qr, pr = (
+        causal_order(a, b)[0] for a, b in ((p, p), (p, q), (q, p), (q, r), (p, r))
     )
+    distinct = (p[0] != q[0]) | (p[1] != q[1])
+    violations = int(
+        np.count_nonzero(~pp)
+        + np.count_nonzero(pq & qp & distinct)
+        + np.count_nonzero(pq & qr & ~pr)
+    )
+    results = [CheckResult("spacetime", "causal_order_axioms", violations == 0, violations)]
 
-    violations = 0
-    for _ in range(1000):
-        p, q = random_timelike_pair(rng)
-        dt = _uniform(rng, 0.3, 2.5)
-        dx = dt * _uniform(rng, -0.9, 0.9)
-        r = Event(q.t + dt, q.x + dx)
-        dpq, dqr, dpr = (
-            lorentzian_distance(p, q),
-            lorentzian_distance(q, r),
-            lorentzian_distance(p, r),
-        )
-        if dpq > 0.0 and dqr > 0.0 and (dpq + dqr) - dpr > 1e-12:
-            violations += 1
-        if dpq > 0.0 and lorentzian_distance(q, p) != 0.0:
-            violations += 1
-        if lorentzian_distance(p, p) != 0.0:
-            violations += 1
+    p, q, r = timelike_triples(rng, 1000)
+    dpq, dqr, dpr, dqp, dpp = (
+        causal_order(a, b)[1] for a, b in ((p, q), (q, r), (p, r), (q, p), (p, p))
+    )
+    violations = int(
+        np.count_nonzero((dpq > 0.0) & (dqr > 0.0) & ((dpq + dqr) - dpr > 1e-12))
+        + np.count_nonzero((dpq > 0.0) & (dqp != 0.0))
+        + np.count_nonzero(dpp != 0.0)
+    )
     results.append(
         CheckResult("spacetime", "reverse_triangle_inequality", violations == 0, violations)
     )
+    return results
+
+
+def verify_spacetime(seed: int) -> list[CheckResult]:
+    rng = np.random.default_rng(seed)
+    results = _spacetime_order_rows(rng)
 
     grid = Grid(-1.0, 1.0, -1.0, 1.0, 11, 11)
     causal_fields = [
@@ -498,90 +669,111 @@ def monotonicity_profiles(p: Event, q: Event) -> tuple[ScalarField, ...]:
     )
 
 
-def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
+def _product_order_rows(rng: np.random.Generator, df: FiniteDirac) -> list[CheckResult]:
+    """The order axioms, the curve oracle's agreement and the restriction to
+    the base order: each loop's samples drawn as one block, each predicate
+    call one stacked :func:`causal_verdicts`; only the oracle goes pair by
+    pair."""
     results: list[CheckResult] = []
-    rng = np.random.default_rng(seed)
 
-    violations = 0
-    for _ in range(1000):
-        w1, _ = random_product_pair(rng, df)
-        if not causally_related(w1, w1, df).related:
-            violations += 1
-    results.append(
-        CheckResult("product", "order_reflexive", violations == 0, violations)
-    )
+    w1, _ = random_product_pairs(rng, df, 1000).states()
+    violations = int(np.count_nonzero(~causal_verdicts(w1, w1, df).related))
+    results.append(CheckResult("product", "order_reflexive", violations == 0, violations))
 
-    violations = 0
-    for i in range(1000):
-        if i % 2 == 0:
-            w1, _ = random_product_pair(rng, df)
-            w2 = w1
-        else:
-            w1, w2 = random_product_pair(rng, df)
-        if (
-            causally_related(w1, w2, df).related
-            and causally_related(w2, w1, df).related
-            and not (w1.event == w2.event and states_close(w1.internal, w2.internal, 1e-9))
-        ):
-            violations += 1
+    # even samples pair a state with itself
+    stack = random_product_pairs(rng, df, 1000)
+    even = np.arange(1000) % 2 == 0
+    w1, w2 = stack._replace(
+        q=_pick(even, stack.p, stack.q), s2=_pick(even, stack.s1, stack.s2)
+    ).states()
+    both = causal_verdicts(w1, w2, df).related & causal_verdicts(w2, w1, df).related
+    same_event = (w1.event[0] == w2.event[0]) & (w1.event[1] == w2.event[1])
+    close = [
+        bloch_close(b1, b2, 1e-9)
+        for b1, b2 in zip(
+            np.stack(w1.bloch, -1)[both & same_event].tolist(),
+            np.stack(w2.bloch, -1)[both & same_event].tolist(),
+        )
+    ]
+    violations = int(np.count_nonzero(both)) - close.count(True)
     results.append(
         CheckResult("product", "order_antisymmetric", violations == 0, violations)
     )
 
-    violations = 0
-    for i in range(1000):
-        if i % 2 == 0:
-            # chained construction so the premises are frequently non-vacuous
-            w1, w2 = related_product_pair(rng, df)
-            p3 = Event(
-                w2.event.t + _uniform(rng, 0.3, 2.0),
-                w2.event.x + _uniform(rng, -0.2, 0.2),
-            )
-            z = latitude(w1.internal)
-            th3 = longitude(w2.internal) + _uniform(rng, -0.5, 0.5)
-            w3 = ProductState(p3, state_on_parallel(z, th3))
-        else:
-            w1, w2 = random_product_pair(rng, df)
-            w3, _ = random_product_pair(rng, df)
-        if (
-            causally_related(w1, w2, df).related
-            and causally_related(w2, w3, df).related
-            and not causally_related(w1, w3, df).related
-        ):
-            violations += 1
+    # even samples chain a related pair (8 draws) to a third state on w1's
+    # parallel, a little later and a little along (3 draws), so the premises
+    # are often non-vacuous; odd samples are three random states
+    chain_draws = 8 + 3
+
+    def walk(draws):
+        chained, pairs, thirds, k = [], [], [], 0
+        for _ in range(500):
+            chained.append(k)
+            pairs.append(k + chain_draws)
+            thirds.append(_product_pair_end(draws, k + chain_draws))
+            k = _product_pair_end(draws, thirds[-1])
+        return (chained, pairs, thirds), k
+
+    draws, (chained, pairs, thirds) = _branching_block(
+        rng, 500 * (chain_draws + 2 * PRODUCT_PAIR_DRAWS), walk
+    )
+    def chain_breaks(w1, w2, w3) -> int:
+        w12, w23, w13 = (
+            causal_verdicts(a, b, df).related for a, b in ((w1, w2), (w2, w3), (w1, w3))
+        )
+        return int(np.count_nonzero(w12 & w23 & ~w13))
+
+    r = draws[np.asarray(chained)[:, None] + np.arange(chain_draws)]
+    w1, w2 = _related_pair_stack(r, df).states()
+    p3 = (w2.event[0] + _from_unit(r[:, 8], 0.3, 2.0), w2.event[1] + _from_unit(r[:, 9], -0.2, 0.2))
+    th3 = _longitudes(w2.bloch[0], w2.bloch[1]) + _from_unit(r[:, 10], -0.5, 0.5)
+    violations = chain_breaks(w1, w2, ProductStates(p3, parallel_bloch(w1.bloch[2], th3)))
+    w1, w2 = _product_pair_stack(draws, pairs).states()
+    w3, _ = _product_pair_stack(draws, thirds).states()
+    violations += chain_breaks(w1, w2, w3)
     results.append(
         CheckResult("product", "order_transitive", violations == 0, violations)
     )
 
-    disagreements = 0
-    compared = 0
-    for _ in range(1000):
-        w1, w2 = random_product_pair(rng, df)
-        verdict = causally_related(w1, w2, df)
-        if verdict.delta_theta is not None and verdict.base_causal:
-            if abs(verdict.delta_theta - verdict.theta_budget) < 1e-3:
-                continue  # borderline band excluded from the strict comparison
-        compared += 1
-        if verdict.related != curve_oracle(w1, w2, df, n_segments=6):
-            disagreements += 1
+    stack = random_product_pairs(rng, df, 1000)
+    verdicts = causal_verdicts(*stack.states(), df)
+    # the borderline band is excluded from the strict comparison; a pole
+    # pair's nan delta_theta compares false, so it is compared
+    borderline = verdicts.base_causal & (
+        np.abs(verdicts.delta_theta - verdicts.theta_budget) < 1e-3
+    )
+    disagreements = sum(
+        related != curve_oracle(w1, w2, df, n_segments=6)
+        for related, skip, (w1, w2) in zip(
+            verdicts.related.tolist(), borderline.tolist(), stack.pairs()
+        )
+        if not skip
+    )
+    compared = int(np.count_nonzero(~borderline))
     # a band that excluded most pairs would hide disagreements: it may take a tenth
     results.append(
         CheckResult(
-            "product", "oracle_agreement", disagreements == 0 and compared >= 900, disagreements
+            "product",
+            "oracle_agreement",
+            disagreements == 0 and compared >= 900,
+            disagreements,
         )
     )
 
-    violations = 0
-    shared = state_on_parallel(0.3, 0.7)
-    for _ in range(500):
-        p = random_event(rng)
-        q = random_event(rng)
-        w1, w2 = ProductState(p, shared), ProductState(q, shared)
-        if causally_related(w1, w2, df).related != causally_precedes(p, q):
-            violations += 1
+    r = rng.random((500, 4))
+    p, q = _event_stack(r), _event_stack(r[:, 2:])
+    shared = state_on_parallel(0.3, 0.7).bloch
+    related = causal_verdicts(ProductStates(p, shared), ProductStates(q, shared), df).related
+    violations = int(np.count_nonzero(related != causal_order(p, q)[0]))
     results.append(
         CheckResult("product", "restricts_to_base_order", violations == 0, violations)
     )
+    return results
+
+
+def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
+    rng = np.random.default_rng(seed)
+    results = _product_order_rows(rng, df)
 
     violations = 0
     for i in range(100):
@@ -607,7 +799,7 @@ def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
     # cone monotonicity: certified atoms, each profile times each Pauli
     # matrix, never decrease along the order
     worst = -math.inf
-    pairs = [related_product_pair(rng, df) for _ in range(50)]
+    pairs = list(related_product_pairs(rng, df, 50).pairs())
     profiles = monotonicity_profiles(pairs[0][0].event, pairs[0][1].event)
     grid = Grid(-8.0, 8.0, -8.0, 8.0, 15, 15)
     atoms = [CausalElement(f, unit) for f in profiles for unit in np.eye(4)]

@@ -199,29 +199,33 @@ def test_criterion_09_lightlike_rigidity(registry):
 
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed42.csv"
 GOLDEN_VERIFY_SEED3 = Path(__file__).parent / "data" / "verify_seed3.csv"
+GOLDEN_VERIFY_SEED0 = Path(__file__).parent / "data" / "verify_seed0.csv"
 
 
 def test_criterion_10_verify_determinism(tmp_path, subprocess_env):
     argv = ["verify", "--suite", "all", "--seed", "42", "--out"]
-    sub_csv, own_csv = tmp_path / "subprocess.csv", tmp_path / "in_process.csv"
-    # the subprocess runs while this process runs its own copy, so the two
-    # independent runs overlap in wall time on a machine with two cores
+    sub_csv = tmp_path / "subprocess.csv"
+    own_csvs = [tmp_path / "in_process_1.csv", tmp_path / "in_process_2.csv"]
+    # the subprocess smoke run overlaps the two in-process runs; those share
+    # one interpreter, so any state the first run left behind (a cache, a
+    # generator not put back after a rewound block draw) shows in the second
     proc = subprocess.Popen(
         [sys.executable, "-m", "nccausal", *argv, str(sub_csv)],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         env=subprocess_env,
     )
-    own_code = cli_main([*argv, str(own_csv)])
-    returncodes = [proc.wait(), own_code]
-    identical = sub_csv.read_bytes() == own_csv.read_bytes()
+    own_codes = [cli_main([*argv, str(out)]) for out in own_csvs]
+    returncodes = [proc.wait(), *own_codes]
+    first, second = (out.read_bytes() for out in own_csvs)
+    identical = first == second == sub_csv.read_bytes()
     # the committed artifact pins every row: a change that moves any value
     # must regenerate it and say which rows changed and why
-    golden = own_csv.read_bytes() == GOLDEN_VERIFY.read_bytes()
+    golden = first == GOLDEN_VERIFY.read_bytes()
     report(10, "verify --suite all exits 0 and emits byte-identical CSV "
-               "artifacts in a subprocess, in-process and in the committed "
-               "tests/data/verify_seed42.csv with the same seed",
-           returncodes == [0, 0] and identical and golden,
+               "artifacts in two in-process runs, a subprocess and the "
+               "committed tests/data/verify_seed42.csv with the same seed",
+           returncodes == [0, 0, 0] and identical and golden,
            f"exit_codes={returncodes} identical={identical} golden={golden}")
 
 
@@ -232,3 +236,12 @@ def test_verify_seed3_matches_its_golden(tmp_path):
     code = cli_main(["verify", "--suite", "all", "--seed", "3", "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == GOLDEN_VERIFY_SEED3.read_bytes()
+
+
+def test_verify_seed0_matches_its_golden(tmp_path):
+    # a third pinned seed, also passing every row, written before the order
+    # rows were stacked: the stacked draws and predicate keep its bytes
+    out = tmp_path / "seed0.csv"
+    code = cli_main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == GOLDEN_VERIFY_SEED0.read_bytes()

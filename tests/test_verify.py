@@ -1,13 +1,13 @@
 """The verify suites themselves: each suite reproduces its own lines of the
 committed seed-42 artifact when run alone, the distance and oracle rows fail
-exactly when their checks do, the stacked symbol checks fail when a planted
-fault reaches the functions they call, the one known unsound cone
-certificate is pinned until the certificate is made sound, and the shared
-generators draw the same stream as reference copies written with
-``Generator.uniform``."""
+exactly when their checks do, the stacked symbol checks and the order rows
+fail when a planted fault reaches the functions they call, the one known
+unsound cone certificate is pinned until the certificate is made sound, the
+shared generators, scalar and stacked, draw the same stream as reference
+copies written with ``Generator.uniform``, and the stacked order rows give
+the rows and generator state of the scalar loops they replaced."""
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +16,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nccausal.verify as verify
+import nccausal.product_causality as product_causality
 from nccausal import (
     CausalElement,
     Event,
     Grid,
     ProductState,
+    ProductStates,
+    causal_order,
     causal_symbol,
+    causal_verdicts,
+    causally_precedes,
     causally_related,
+    curve_oracle,
     hermitian_eigenvalues,
     lorentzian_distance,
+    latitude,
+    longitude,
     product_symbol,
     speed_bound,
     state_on_parallel,
+    states_close,
     steep_symbol,
 )
 from nccausal.cli import _fmt
@@ -61,12 +70,13 @@ def test_oracle_row_needs_900_compared_pairs(monkeypatch):
     # every base-causal verdict moved onto the speed limit falls in the
     # borderline band, so fewer than 900 pairs are compared
     def on_the_limit(w1, w2, df):
-        verdict = causally_related(w1, w2, df)
-        if verdict.base_causal and verdict.delta_theta is not None:
-            return replace(verdict, theta_budget=verdict.delta_theta)
-        return verdict
+        verdicts = causal_verdicts(w1, w2, df)
+        moved = verdicts.base_causal & ~np.isnan(verdicts.delta_theta)
+        return verdicts._replace(
+            theta_budget=np.where(moved, verdicts.delta_theta, verdicts.theta_budget)
+        )
 
-    monkeypatch.setattr(verify, "causally_related", on_the_limit)
+    monkeypatch.setattr(verify, "causal_verdicts", on_the_limit)
     rows = {r.name: r for r in verify.verify_product(42, DIRAC)}
     assert not rows["oracle_agreement"].passed
     assert rows["oracle_agreement"].value == 0
@@ -75,9 +85,10 @@ def test_oracle_row_needs_900_compared_pairs(monkeypatch):
 def test_triangle_row_counts_past_directed_distances(monkeypatch):
     # a distance positive on past-directed pairs breaks d(q, p) = 0 only
     def symmetric(p, q):
-        return lorentzian_distance(*sorted((p, q), key=lambda e: e.t))
+        later = q[0] < p[0]
+        return causal_order(verify._pick(later, q, p), verify._pick(later, p, q))
 
-    monkeypatch.setattr(verify, "lorentzian_distance", symmetric)
+    monkeypatch.setattr(verify, "causal_order", symmetric)
     rows = {r.name: r for r in verify.verify_spacetime(42)}
     assert not rows["reverse_triangle_inequality"].passed
     assert rows["reverse_triangle_inequality"].value > 0
@@ -339,3 +350,286 @@ def test_hermitian_stack_is_the_sequential_draws():
     # complex abs of each entry (numpy's array abs can differ in the last bit)
     closed = DIRAC.gap * np.hypot(stack[:, 0, 1].real, stack[:, 0, 1].imag)
     assert closed.tolist() == [DIRAC.gap * abs(a[0, 1]) for a in stack]
+
+
+# Reference copies of the scalar spacetime sample draws, in the order the
+# scalar loops took them.
+
+
+def _ref_order_triple(rng):
+    if rng.uniform() < 0.5:
+        p = _ref_event(rng)
+        q = Event(p.t + float(rng.uniform(0, 2)), p.x + float(rng.uniform(-2, 2)))
+        r = Event(q.t + float(rng.uniform(0, 2)), q.x + float(rng.uniform(-2, 2)))
+        return p, q, r
+    return tuple(_ref_event(rng) for _ in range(3))
+
+
+def _ref_timelike_triple(rng):
+    p, q = _ref_timelike_pair(rng)
+    dt = float(rng.uniform(0.3, 2.5))
+    dx = dt * float(rng.uniform(-0.9, 0.9))
+    return p, q, Event(q.t + dt, q.x + dx)
+
+
+def _event_hexes(events):
+    return [(e.t.hex(), e.x.hex()) for e in events]
+
+
+def _stacked_events(stack):
+    """The (t, x) array pairs of a stacked draw, as one list of events per
+    sample."""
+    columns = [[Event(t, x) for t, x in zip(c[0].tolist(), c[1].tolist())] for c in stack]
+    return list(zip(*columns))
+
+
+def _state_hexes(w):
+    s = w.internal
+    parts = (w.event.t, w.event.x, s.xi1.real, s.xi1.imag, s.xi2.real, s.xi2.imag, *s.bloch)
+    return [v.hex() for v in parts]
+
+
+STACKED = [
+    # (stacked draw, reference sample, to comparable per-sample values)
+    (
+        lambda rng, n: list(verify.random_product_pairs(rng, DIRAC, n).pairs()),
+        lambda rng: _ref_product_pair(rng, DIRAC),
+        lambda pair: [_state_hexes(w) for w in pair],
+    ),
+    (
+        lambda rng, n: list(verify.related_product_pairs(rng, DIRAC, n).pairs()),
+        lambda rng: _ref_related_product_pair(rng, DIRAC),
+        lambda pair: [_state_hexes(w) for w in pair],
+    ),
+    (
+        lambda rng, n: _stacked_events(verify.order_triples(rng, n)),
+        _ref_order_triple,
+        _event_hexes,
+    ),
+    (
+        lambda rng, n: _stacked_events(verify.timelike_triples(rng, n)),
+        _ref_timelike_triple,
+        _event_hexes,
+    ),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize(
+    "stacked, reference, values",
+    STACKED,
+    ids=["random_product_pairs", "related_product_pairs", "order_triples", "timelike_triples"],
+)
+def test_stacked_draws_are_the_reference_samples(stacked, reference, values, n):
+    # a run of 1000 ends far from the bound drawn for it, so the rewind of a
+    # branching draw is exercised at every seed; n = 1000 is checked on the
+    # first 20 seeds, where the references alone take most of a second
+    for seed in range(200 if n < 1000 else 20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = stacked(rng, n)
+        assert len(got) == n
+        for sample in got:
+            assert values(sample) == values(reference(ref)), seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+
+
+def test_branching_block_keeps_the_buffered_32_bit_half():
+    # an integer draw below 2**32 leaves half a 64-bit output buffered,
+    # which Generator.random does not touch but bit_generator.advance drops
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, ref):
+            g.integers(0, 5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        pairs = list(verify.random_product_pairs(rng, DIRAC, 3).pairs())
+        assert pairs == [_ref_product_pair(ref, DIRAC) for _ in range(3)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.integers(0, 5) == ref.integers(0, 5)
+
+
+# The scalar loops the stacked rows replaced, sample by sample with the
+# scalar predicate and the reference generators above: the reference of
+# ``_spacetime_order_rows`` and ``_product_order_rows``.
+
+
+def _ref_spacetime_order_rows(rng):
+    violations = 0
+    for _ in range(1000):
+        if rng.uniform() < 0.5:
+            p = _ref_event(rng)
+            q = Event(p.t + float(rng.uniform(0, 2)), p.x + float(rng.uniform(-2, 2)))
+            r = Event(q.t + float(rng.uniform(0, 2)), q.x + float(rng.uniform(-2, 2)))
+        else:
+            p, q, r = (_ref_event(rng) for _ in range(3))
+        if not causally_precedes(p, p):
+            violations += 1
+        if causally_precedes(p, q) and causally_precedes(q, p) and p != q:
+            violations += 1
+        if causally_precedes(p, q) and causally_precedes(q, r) and not causally_precedes(p, r):
+            violations += 1
+    results = [verify.CheckResult("spacetime", "causal_order_axioms", violations == 0, violations)]
+
+    violations = 0
+    for _ in range(1000):
+        p, q = _ref_timelike_pair(rng)
+        dt = float(rng.uniform(0.3, 2.5))
+        dx = dt * float(rng.uniform(-0.9, 0.9))
+        r = Event(q.t + dt, q.x + dx)
+        dpq, dqr, dpr = (lorentzian_distance(a, b) for a, b in ((p, q), (q, r), (p, r)))
+        if dpq > 0.0 and dqr > 0.0 and (dpq + dqr) - dpr > 1e-12:
+            violations += 1
+        if dpq > 0.0 and lorentzian_distance(q, p) != 0.0:
+            violations += 1
+        if lorentzian_distance(p, p) != 0.0:
+            violations += 1
+    results.append(
+        verify.CheckResult("spacetime", "reverse_triangle_inequality", violations == 0, violations)
+    )
+    return results
+
+
+def _ref_product_order_rows(rng, df):
+    def row(name, violations):
+        return verify.CheckResult("product", name, violations == 0, violations)
+
+    def related(w1, w2):
+        return causally_related(w1, w2, df).related
+
+    violations = 0
+    for _ in range(1000):
+        w1, _ = _ref_product_pair(rng, df)
+        violations += not related(w1, w1)
+    results = [row("order_reflexive", violations)]
+
+    violations = 0
+    for i in range(1000):
+        if i % 2 == 0:
+            w1, _ = _ref_product_pair(rng, df)
+            w2 = w1
+        else:
+            w1, w2 = _ref_product_pair(rng, df)
+        if (
+            related(w1, w2)
+            and related(w2, w1)
+            and not (w1.event == w2.event and states_close(w1.internal, w2.internal, 1e-9))
+        ):
+            violations += 1
+    results.append(row("order_antisymmetric", violations))
+
+    violations = 0
+    for i in range(1000):
+        if i % 2 == 0:
+            w1, w2 = _ref_related_product_pair(rng, df)
+            p3 = Event(
+                w2.event.t + float(rng.uniform(0.3, 2.0)),
+                w2.event.x + float(rng.uniform(-0.2, 0.2)),
+            )
+            z = latitude(w1.internal)
+            th3 = longitude(w2.internal) + float(rng.uniform(-0.5, 0.5))
+            w3 = ProductState(p3, state_on_parallel(z, th3))
+        else:
+            w1, w2 = _ref_product_pair(rng, df)
+            w3, _ = _ref_product_pair(rng, df)
+        if related(w1, w2) and related(w2, w3) and not related(w1, w3):
+            violations += 1
+    results.append(row("order_transitive", violations))
+
+    disagreements = 0
+    compared = 0
+    for _ in range(1000):
+        w1, w2 = _ref_product_pair(rng, df)
+        verdict = causally_related(w1, w2, df)
+        if verdict.delta_theta is not None and verdict.base_causal:
+            if abs(verdict.delta_theta - verdict.theta_budget) < 1e-3:
+                continue
+        compared += 1
+        if verdict.related != curve_oracle(w1, w2, df, n_segments=6):
+            disagreements += 1
+    results.append(
+        verify.CheckResult(
+            "product", "oracle_agreement", disagreements == 0 and compared >= 900, disagreements
+        )
+    )
+
+    violations = 0
+    shared = state_on_parallel(0.3, 0.7)
+    for _ in range(500):
+        p = _ref_event(rng)
+        q = _ref_event(rng)
+        if related(ProductState(p, shared), ProductState(q, shared)) != causally_precedes(p, q):
+            violations += 1
+    results.append(row("restricts_to_base_order", violations))
+    return results
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 42, 99, 12345])
+def test_stacked_rows_are_the_scalar_loops(seed):
+    for rows, reference in (
+        (verify._spacetime_order_rows, _ref_spacetime_order_rows),
+        (
+            lambda rng: verify._product_order_rows(rng, DIRAC),
+            lambda rng: _ref_product_order_rows(rng, DIRAC),
+        ),
+    ):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert rows(rng) == reference(ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _events_swapped(w1, w2, df):
+    """The predicate asked with the two events swapped, states in place."""
+    return causally_related(
+        ProductState(w2.event, w1.internal), ProductState(w1.event, w2.internal), df
+    )
+
+
+def _events_swapped_stack(w1, w2, df):
+    return causal_verdicts(ProductStates(w2.event, w1.bloch), ProductStates(w1.event, w2.bloch), df)
+
+
+def _root_distance(p, q):
+    return math.sqrt(lorentzian_distance(p, q))
+
+
+def _root_distance_stack(p, q):
+    precedes, tau = causal_order(p, q)
+    return precedes, np.sqrt(tau)
+
+
+PREDICATE_FAULTS = [
+    # (patches of (module, name, replacement), rows that must fail); each
+    # fault reaches the scalar predicate of lightlike_rigidity and the
+    # stacked one of the other rows alike
+    (
+        # a strict speed clause: a pair right on its budget is refused
+        [(product_causality, "SPEED_SLACK", -1e-12)],
+        {"order_reflexive", "lightlike_rigidity"},
+    ),
+    (
+        # the events passed in the wrong order
+        [
+            (verify, "causally_related", _events_swapped),
+            (verify, "causal_verdicts", _events_swapped_stack),
+        ],
+        {"restricts_to_base_order", "lightlike_rigidity"},
+    ),
+    (
+        # a budget from the root of the proper time, which is not additive
+        # along a chain
+        [
+            (product_causality, "lorentzian_distance", _root_distance),
+            (product_causality, "causal_order", _root_distance_stack),
+        ],
+        {"order_transitive"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "patches, rows", PREDICATE_FAULTS, ids=["strict-speed", "swapped-events", "root-budget"]
+)
+def test_planted_predicate_faults_fail_the_order_rows(monkeypatch, patches, rows):
+    assert not _failed_rows(verify.verify_product(42, DIRAC)) & rows
+    for module, name, fault in patches:
+        monkeypatch.setattr(module, name, fault)
+    assert rows <= _failed_rows(verify.verify_product(42, DIRAC))
