@@ -23,13 +23,15 @@ plane; a latitude failure by the constant +-sz, which commutes with D_F and
 so has a zero symbol. A pair whose base is causal and whose latitudes agree
 gets no witness: that search is open.
 
-The predicate and the reachable arcs each have two entry points with one
-set of formulas: one pair or event at a time (the API of single answers,
-and the tests' oracle), and a stack of pairs or a whole grid as arrays,
-which the verify gate and `scan` use. The array predicate takes the Bloch
-coordinates of the states and answers every field of the scalar verdict,
-bit for bit: where numpy's array arctan2 can round differently from
-``math.atan2``, the longitudes go through the scalar function.
+The predicate, the curve oracle and the reachable arcs each have two entry
+points with one set of formulas: one pair or event at a time (the API of
+single answers, and the tests' oracle), and a stack of pairs or a whole
+grid as arrays, which the verify gate and `scan` use. The array predicate
+and oracle take the Bloch coordinates of the states and answer as the
+scalar forms do, bit for bit: the predicate every field of its verdict, the
+oracle its chord, its lifted curve's check and its errors. Where numpy's
+array arctan2 can round differently from ``math.atan2``, the longitudes go
+through the scalar function.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ from .spacetime import (
     Event,
     Grid,
     ScalarField,
+    _check_segment_count,
     _chord,
+    _chords,
     _scaled,
     causal_future,
     causal_order,
@@ -455,8 +459,11 @@ def curve_oracle(
     time, up to ``ORACLE_SLACK``. When it fits, the chord is lifted to an
     explicit product curve, which must pass :meth:`ProductCurve.validate`.
     Independent of :func:`causally_related`, against which it is compared in
-    the test suite.
+    the test suite; the verify gate compares the predicate with its stacked
+    form, :func:`curve_oracles`. ``n_segments`` must be an int of at least
+    1, or ValueError is raised whatever the pair.
     """
+    _check_segment_count(n_segments)
     p, q = w1.event, w2.event
     if not causally_precedes(p, q):
         return False
@@ -477,6 +484,57 @@ def curve_oracle(
         lifted = _lift_curve(base_vertices, th1, delta)
         lifted.validate(df, tol=1e-9)
     return True
+
+
+def curve_oracles(
+    w1: ProductStates, w2: ProductStates, df: FiniteDirac, n_segments: int = 6
+) -> np.ndarray:
+    """:func:`curve_oracle` pair by pair over two stacks of product states,
+    as a boolean array of their broadcast shape, bit for bit, with its
+    errors: the first pair in flat order whose proper time overflows raises
+    :class:`CoordinateOverflow`. The pairs that fit the budget strictly are
+    lifted as :func:`_lift_curve` lifts them and checked in one pass; the
+    first failing one is rebuilt as a :class:`ProductCurve` and validated,
+    which raises its :class:`NonCausalSegment`."""
+    arrays = (np.asarray(c, dtype=float) for c in (*w1.event, *w2.event, *w1.bloch, *w2.bloch))
+    columns = np.broadcast_arrays(*arrays)
+    pt, px, qt, qx, x1, y1, z1, x2, y2, z2 = (c.ravel() for c in columns)
+    related = np.zeros(pt.size, dtype=bool)
+    rows = np.flatnonzero(~(np.abs(z1 - z2) > LATITUDE_TOL))
+    p, q = np.stack([pt, px])[:, rows], np.stack([qt, qx])[:, rows]
+    precedes, tau, v, fallback = _chords(p, q, n_segments)
+    rows, tau, v, fallback = rows[precedes], tau[precedes], v[:, precedes], fallback[precedes]
+    x1, y1, z1, x2, y2, z2 = (c[rows] for c in (x1, y1, z1, x2, y2, z2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        budget = speed_bound(df) * tau
+        pole = (np.abs(z1) >= 1.0 - POLE_TOL) | (np.abs(z2) >= 1.0 - POLE_TOL)
+        th1 = _longitudes(x1, y1)
+        windings = (_longitudes(x2, y2) - th1)[:, None] + TWO_PI * np.array([-1.0, 0.0, 1.0])
+        delta = windings[np.arange(len(rows)), np.argmin(np.abs(windings), axis=1)]
+        related[rows] = pole | ~(np.abs(delta) > budget + ORACLE_SLACK)
+
+        lift = ~pole & (np.abs(delta) <= budget) & (tau > 0.0)
+        v, fallback, th1, delta = v[:, lift], fallback[lift], th1[lift], delta[lift]
+        causal, piece = causal_order(v[..., :-1], v[..., 1:])
+        acc = np.cumsum(piece, axis=1)  # a fallback chord's pieces past [p, q] are empty
+        frac = np.where(acc[:, -1:] > 0.0, acc / acc[:, -1:], 1.0)
+        theta = np.concatenate([th1[:, None], th1[:, None] + delta[:, None] * frac], axis=1)
+        (dt, dx), dth = np.diff(v), np.diff(theta)
+        interval = dt * dt - dx * dx
+        too_fast = np.where(
+            np.isfinite(interval),
+            dth * dth > df.gap * df.gap * interval + 1e-9,
+            np.abs(dth) > df.gap * piece,
+        )
+    active = ~fallback[:, None] | (np.arange(dt.shape[1]) == 0)
+    bad = active & ((dt <= 0.0) | ~causal | too_fast)
+    if bad.any():
+        r = int(np.argmax(bad.any(axis=1)))
+        m = 2 if fallback[r] else v.shape[2]
+        events = map(Event, *v[:, r, :m].tolist())
+        ProductCurve(tuple(zip(events, theta[r, :m].tolist()))).validate(df, tol=1e-9)
+        raise RuntimeError("stacked and scalar checks of a lifted curve disagree")
+    return related.reshape(columns[0].shape)
 
 
 # --------------------------------------------------------------------------

@@ -164,6 +164,12 @@ def proper_time(curve: Curve) -> float:
     return total
 
 
+def _check_segment_count(n) -> None:
+    """Raise ValueError unless n is an int of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n_segments must be an int of at least 1, got {n!r}")
+
+
 def _chord(p: Event, q: Event, n_segments: int) -> tuple[float, list[Event]]:
     """Proper time and vertices of the straight chord from p to q cut into
     ``n_segments`` equal pieces.
@@ -174,8 +180,7 @@ def _chord(p: Event, q: Event, n_segments: int) -> tuple[float, list[Event]]:
     squared interval or vertices overflow is cut between the events scaled
     by 2**-RESCALE_EXP, and its proper time and vertices scaled back.
     """
-    if n_segments < 1:
-        raise ValueError("n_segments must be at least 1")
+    _check_segment_count(n_segments)
     if not causally_precedes(p, q):
         raise NotCausallyRelated(f"no causal curve from {p} to {q}")
     if p.t == q.t and p.x == q.x:
@@ -191,6 +196,39 @@ def _chord(p: Event, q: Event, n_segments: int) -> tuple[float, list[Event]]:
     if None in seg:
         verts, seg = [p, q], [_segment_tau(p, q)]
     return sum(seg), verts
+
+
+def _chords(p, q, n_segments: int):
+    """:func:`_chord` pair by pair, bit for bit, over events p and q given
+    as arrays (t, x) of shape (2, len): whether p precedes q and, for those
+    pairs, the proper time, the vertices of shape (2, len, n_segments + 1),
+    and whether the chord fell back to [p, q] (its vertices are then p and
+    q repeated). The order is taken at the scale the chord is cut at, where
+    no distance overflows; the first proper time beyond the double range
+    raises :class:`CoordinateOverflow`."""
+    _check_segment_count(n_segments)
+    n = n_segments
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt, dx = q - p
+        big = ~(
+            np.isfinite(dt * dt - dx * dx) & np.isfinite(dt * (n - 1)) & np.isfinite(dx * (n - 1))
+        )
+        a, b = (np.where(big, np.ldexp(e, -RESCALE_EXP), e) for e in (p, q))
+        precedes, whole = causal_order(a, b)
+        v = np.concatenate([a[..., None] + (b - a)[..., None] * np.arange(n) / n, b[..., None]], -1)
+        causal, piece = causal_order(v[..., :-1], v[..., 1:])
+        fallback = ~np.all(causal & (np.diff(v[0]) > 0.0), axis=1)
+        scaled = np.where(fallback, whole, np.cumsum(piece, axis=1)[:, -1])
+        tau = np.where(big, np.ldexp(scaled, RESCALE_EXP), scaled)
+        over = precedes & np.isinf(tau)
+        if over.any():
+            _unscaled(float(scaled[np.argmax(over)]))  # raises CoordinateOverflow
+        v = np.where(big[:, None], np.ldexp(v, RESCALE_EXP), v)
+    v[..., 0] = np.where(big | fallback, p, v[..., 0])
+    v[..., -1] = q
+    v[:, fallback, 1:] = q[:, fallback, None]
+    return precedes, tau, v, fallback
 
 
 def max_proper_time(p: Event, q: Event, n_segments: int) -> float:

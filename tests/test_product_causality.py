@@ -559,6 +559,23 @@ def test_curve_oracle_trivial_and_speed_cases():
     )
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, 6.0, False, "6"])
+def test_curve_oracle_rejects_a_segment_count_whatever_the_pair(n):
+    # a related pair, a base failure, a latitude failure and a pole pair
+    df = FiniteDirac(1.0, 2.0)
+    w1 = ProductState(E(0, 0), equator(0.0))
+    for w2 in (
+        ProductState(E(2, 0), equator(0.5)),
+        ProductState(E(0, 1), equator(0.0)),
+        ProductState(E(2, 0), state_on_parallel(0.5, 0.0)),
+    ):
+        with pytest.raises(ValueError, match="n_segments"):
+            curve_oracle(w1, w2, df, n_segments=n)
+    north = ProductState(E(0, 0), state_on_parallel(1.0, 0.0))
+    with pytest.raises(ValueError, match="n_segments"):
+        curve_oracle(north, north, df, n_segments=n)
+
+
 def test_curve_oracle_borderline_within_slack():
     df = FiniteDirac(0.0, 1.0)
     w1 = ProductState(E(0, 0), equator(0.0))

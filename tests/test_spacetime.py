@@ -101,6 +101,14 @@ def test_max_proper_time_requires_causal_pair():
         max_proper_time(E(0, 0), E(0, 1), 3)
 
 
+@pytest.mark.parametrize("n", [0, -2, 2.5, 3.0, True, "6", None])
+def test_max_proper_time_rejects_a_segment_count_before_the_pair(n):
+    # a causal pair, a non-causal one and identical events alike
+    for p, q in ((E(0, 0), E(2, 1)), (E(0, 0), E(0, 1)), (E(1, 1), E(1, 1))):
+        with pytest.raises(ValueError, match="n_segments"):
+            max_proper_time(p, q, n)
+
+
 def test_max_proper_time_below_distance():
     rng = np.random.default_rng(12)
     for _ in range(10):
