@@ -3,7 +3,8 @@ that encode the causal and steep conditions.
 
 The representation is pinned to gamma0 = diag(i, -i), gamma1 = [[0, 1], [1, 0]],
 so the fundamental symmetry j = i*gamma0 = diag(-1, 1) is real diagonal and
-every symbol assembles from a handful of cheap 2x2 products.
+the grading gamma_m = gamma0 @ gamma1 = [[0, i], [-i, 0]]. In this basis both
+symbols have closed-form entries, written directly rather than multiplied out.
 """
 
 from __future__ import annotations
@@ -27,15 +28,26 @@ def ensure_hermitian(m: np.ndarray, guard: float = HERMITICITY_GUARD) -> np.ndar
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotHermitian(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    adjoint = m.conj().swapaxes(-1, -2)
-    skew = np.abs(m - adjoint)
-    anti = 0.5 * float(skew.max()) if skew.size else 0.0
+    half = 0.5 * m  # halved first, so that entries near DBL_MAX stay finite
+    adjoint = half.conj().swapaxes(-1, -2)
+    skew = np.abs(half - adjoint)
+    anti = float(skew.max()) if skew.size else 0.0
     if anti > guard:
         raise NotHermitian(f"anti-Hermitian part {anti:.3e} exceeds guard {guard:.1e}")
-    return 0.5 * (m + adjoint)
+    return half + adjoint
 
 
 _LOWER_UPPER = np.array([-1.0, 1.0])
+
+
+def _mean_radius(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and half-gap of the two eigenvalues of each Hermitian 2x2 matrix,
+    from the trace/determinant closed form. Each diagonal entry is halved
+    before the two are added, so that entries near DBL_MAX stay finite."""
+    a = 0.5 * m[..., 0, 0].real
+    d = 0.5 * m[..., 1, 1].real
+    off = m[..., 0, 1]
+    return a + d, np.hypot(a - d, np.hypot(off.real, off.imag))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -46,11 +58,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     matrices fall back to the iterative LAPACK solver.
     """
     if m.shape[-2:] == (2, 2):
-        a = m[..., 0, 0].real
-        d = m[..., 1, 1].real
-        off = m[..., 0, 1]
-        mean = 0.5 * (a + d)
-        radius = np.hypot(0.5 * (a - d), np.hypot(off.real, off.imag))
+        mean, radius = _mean_radius(m)
         return mean[..., None] + radius[..., None] * _LOWER_UPPER
     return np.linalg.eigvalsh(m)
 
@@ -61,8 +69,16 @@ def is_nsd(m: np.ndarray, tol: float | np.ndarray) -> bool | np.ndarray:
 
     A stack of shape (..., k, k) gives one verdict per matrix, as a boolean
     array; ``tol`` may then be an array that broadcasts against the stack.
+    A 2x2 matrix's smaller eigenvalue is not computed, so it may lie beyond
+    the double range.
     """
-    verdict = hermitian_eigenvalues(ensure_hermitian(m))[..., -1] <= tol
+    m = ensure_hermitian(m)
+    if m.shape[-2:] == (2, 2):
+        mean, radius = _mean_radius(m)
+        top = mean + radius
+    else:
+        top = np.linalg.eigvalsh(m)[..., -1]
+    verdict = top <= tol
     return bool(verdict) if verdict.ndim == 0 else verdict
 
 
@@ -118,45 +134,48 @@ def standard_basis() -> CliffordBasis:
     return CliffordBasis(gamma0, gamma1, gamma_m, j)
 
 
-_BASIS = standard_basis()
+def _gradient_symbol(
+    dft: float | np.ndarray, dfx: float | np.ndarray, gamma1_weight: float
+) -> np.ndarray:
+    """The Hermitian matrix [[-dft, w + i*dfx], [w - i*dfx, -dft]] with
+    w = ``gamma1_weight``, entry by entry.
 
-
-def _gradient_axes(
-    dft: float | np.ndarray, dfx: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient components with two trailing axes, so that a scalar gradient
-    broadcasts against the 2x2 basis to one matrix and a gradient array of
-    shape (n,) to a stack of shape (n, 2, 2)."""
-    dft = np.asarray(dft, dtype=float)[..., None, None]
-    dfx = np.asarray(dfx, dtype=float)[..., None, None]
-    return dft, dfx
+    Scalar components give one 2x2 matrix; arrays give a stack with their
+    broadcast shape in front. The diagonal is written 0.0 - dft and the
+    imaginary parts 0.0 +- dfx, so that a zero component gives +0.0 in every
+    entry, as the product of the gamma matrices does.
+    """
+    dft = np.asarray(dft, dtype=float)
+    dfx = np.asarray(dfx, dtype=float)
+    out = np.empty(np.broadcast_shapes(dft.shape, dfx.shape) + (2, 2), complex)
+    out[..., 0, 0] = out[..., 1, 1] = 0.0 - dft
+    out[..., 0, 1] = out[..., 1, 0] = gamma1_weight
+    out.imag[..., 0, 1] = 0.0 + dfx
+    out.imag[..., 1, 0] = 0.0 - dfx
+    return out
 
 
 def causal_symbol(dft: float | np.ndarray, dfx: float | np.ndarray) -> np.ndarray:
     """Pointwise symbol of j*[dirac, f] for a scalar function with gradient
     (dft, dfx) = (df/dt, df/dx).
 
-    Assembled as (i*gamma0) @ (-i*gamma0*dft - i*gamma1*dfx); the eigenvalues
-    are -dft +- |dfx|, so the symbol is negative semidefinite exactly when the
-    gradient is future-directed causal (dft >= |dfx|). Scalar components give
-    one 2x2 matrix; arrays of shape (n,) give the stack of shape (n, 2, 2).
+    It is (i*gamma0) @ (-i*gamma0*dft - i*gamma1*dfx) = -dft*I + dfx*gamma_m
+    = [[-dft, i*dfx], [-i*dfx, -dft]], Hermitian by construction. The
+    eigenvalues are -dft +- |dfx|, so the symbol is negative semidefinite
+    exactly when the gradient is future-directed causal (dft >= |dfx|).
+    Scalar components give one 2x2 matrix; arrays of shape (n,) give the
+    stack of shape (n, 2, 2).
     """
-    b = _BASIS
-    dft, dfx = _gradient_axes(dft, dfx)
-    m = (1j * b.gamma0) @ (-1j * b.gamma0 * dft - 1j * b.gamma1 * dfx)
-    return ensure_hermitian(m)
+    return _gradient_symbol(dft, dfx, 0.0)
 
 
 def steep_symbol(dft: float | np.ndarray, dfx: float | np.ndarray) -> np.ndarray:
     """Pointwise symbol of j*([dirac, f] + i*gamma_m).
 
-    Eigenvalues are -dft +- sqrt(1 + dfx^2): negative semidefinite exactly for
-    steep gradients (dft >= sqrt(1 + dfx^2)), the feasible set of the distance
+    The added term is (i*gamma0)(i*gamma_m) = gamma1, so the symbol is
+    [[-dft, 1 + i*dfx], [1 - i*dfx, -dft]]. Eigenvalues are
+    -dft +- sqrt(1 + dfx^2): negative semidefinite exactly for steep
+    gradients (dft >= sqrt(1 + dfx^2)), the feasible set of the distance
     functional. Shapes as for :func:`causal_symbol`.
     """
-    b = _BASIS
-    dft, dfx = _gradient_axes(dft, dfx)
-    m = (1j * b.gamma0) @ (
-        -1j * b.gamma0 * dft - 1j * b.gamma1 * dfx + 1j * b.gamma_m
-    )
-    return ensure_hermitian(m)
+    return _gradient_symbol(dft, dfx, 1.0)

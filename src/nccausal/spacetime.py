@@ -371,10 +371,10 @@ def _check_gradients(value, gt, gx, t, x) -> None:
     still stands well above their rounding error. The event and its four
     steps are evaluated in one call of ``value``. Where a step leaves the
     double range, in the coordinate or in the value, the difference is
-    one-sided. Where a difference is not finite, the gradient cannot be
-    confirmed and counts as a mismatch. Where the value at an event is not
-    finite, nothing is left to compare the gradient with:
-    :class:`CoordinateOverflow` is raised instead.
+    one-sided. Where a difference or the supplied gradient is not finite,
+    the gradient cannot be confirmed and counts as a mismatch. Where the
+    value at an event is not finite, nothing is left to compare the gradient
+    with: :class:`CoordinateOverflow` is raised instead.
     """
     h = FD_STEP * np.maximum(1.0, np.maximum(np.abs(t), np.abs(x)))
     n = len(t)
@@ -388,8 +388,9 @@ def _check_gradients(value, gt, gx, t, x) -> None:
             f"the field's value at {_at_first(t, x, ~np.isfinite(mid))} exceeds the double range"
         )
     tol = np.maximum(1e-5, 1e-3 * np.hypot(gt, gx))
-    # nan compares False, so a non-finite difference counts as a mismatch
-    bad = ~(np.hypot(fdt - gt, fdx - gx) <= tol)
+    # nan compares False, so a non-finite difference counts as a mismatch; an
+    # infinite supplied gradient would make tol infinite, so it is tested apart
+    bad = ~(np.hypot(fdt - gt, fdx - gx) <= tol) | ~(np.isfinite(gt) & np.isfinite(gx))
     if bad.any():
         raise GradientMismatch(
             f"gradient disagrees with finite differences at {_at_first(t, x, bad)}"
@@ -431,7 +432,7 @@ def _steep_certificate(gt: np.ndarray, gx: np.ndarray) -> bool:
     """
     tol = NSD_TOL * np.maximum(1.0, np.abs(gt))
     return _cone_certificate(
-        "steep", steep_symbol(gt, gx), np.sqrt(1.0 + gx * gx) - gt, tol
+        "steep", steep_symbol(gt, gx), np.hypot(1.0, gx) - gt, tol
     )
 
 

@@ -2,10 +2,13 @@
 
 The expected values here are produced by test-local oracles: literal matrices
 multiplied out directly, and numpy's general eigensolver as a cross-check of
-the closed-form 2x2 eigenvalue path.
+the closed-form 2x2 eigenvalue path. The library writes both symbols entry by
+entry; the matrix products of the gamma matrices they come from are
+assembled here, and the two must agree bit for bit.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +28,27 @@ G0 = np.array([[1j, 0], [0, -1j]])
 G1 = np.array([[0, 1], [1, 0]], dtype=complex)
 GM = G0 @ G1
 J = 1j * G0
+DBL_MAX = sys.float_info.max
+
+
+def _product_symbol(dft, dfx, grading):
+    """j @ (-i*gamma0*dft - i*gamma1*dfx + grading) for a gradient with two
+    trailing axes added, symmetrized as (m + m*)/2."""
+    dft = np.asarray(dft, dtype=float)[..., None, None]
+    dfx = np.asarray(dfx, dtype=float)[..., None, None]
+    inner = -1j * G0 * dft - 1j * G1 * dfx
+    if grading is not None:
+        inner = inner + grading
+    m = (1j * G0) @ inner
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _oracle_causal_symbol(dft, dfx):
+    return _product_symbol(dft, dfx, None)
+
+
+def _oracle_steep_symbol(dft, dfx):
+    return _product_symbol(dft, dfx, 1j * GM)
 
 
 def test_standard_basis_matches_literals():
@@ -152,6 +176,58 @@ def test_batched_symbols_match_scalar_calls():
         verdicts = is_nsd(stack, 1e-9)
         assert verdicts.shape == (1000,)
         assert verdicts.tolist() == [is_nsd(m, 1e-9) for m in single]
+
+
+def _spread(rng, shape):
+    """Signed doubles with magnitudes from 1e-300 to 1e300."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+
+
+_RNG = np.random.default_rng(11)
+_ZEROS = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0])
+SYMBOL_INPUTS = {
+    "random stack": (_RNG.uniform(-4, 4, 1000), _RNG.uniform(-4, 4, 1000)),
+    "wide magnitudes": (_spread(_RNG, 1000), _spread(_RNG, 1000)),
+    "largest magnitudes": (
+        np.array([1e300, -1e300, 1e300, -1e300, 1.0, 0.0]),
+        np.array([1e300, 1e300, -1e300, -1e300, -1e300, 1e300]),
+    ),
+    "scalars": (1.5, -2.0),
+    "scalar zeros": (0.0, -0.0),
+    "negative scalar zeros": (-0.0, 0.0),
+    "signed zeros": (_ZEROS, _ZEROS[[1, 0, 3, 2, 0, 1]]),
+    "2-D": (_RNG.normal(size=(3, 4)), _RNG.normal(size=(3, 4))),
+    "scalar against array": (2.0, _RNG.normal(size=5)),
+    "array against signed zero": (_RNG.normal(size=5), -0.0),
+    "broadcast rows against columns": (_RNG.normal(size=(3, 1)), _RNG.normal(size=4)),
+}
+
+
+@pytest.mark.parametrize("inputs", SYMBOL_INPUTS.values(), ids=SYMBOL_INPUTS.keys())
+@pytest.mark.parametrize("symbol, oracle", [
+    (causal_symbol, _oracle_causal_symbol),
+    (steep_symbol, _oracle_steep_symbol),
+])
+def test_closed_form_symbols_are_the_gamma_products(symbol, oracle, inputs):
+    got, want = symbol(*inputs), oracle(*inputs)
+    assert got.shape == want.shape == np.broadcast_shapes(*map(np.shape, inputs)) + (2, 2)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_entries_near_the_largest_double_do_not_overflow():
+    # each entry is halved before the two are added, so a Hermitian matrix
+    # whose entries are finite keeps them, and so do its eigenvalues
+    m = np.diag([1e308, -1e308]).astype(complex)
+    assert np.array_equal(ensure_hermitian(m), m)
+    assert hermitian_eigenvalues(m).tolist() == [-1e308, 1e308]
+    assert hermitian_eigenvalues(np.diag([DBL_MAX, DBL_MAX])).tolist() == [DBL_MAX, DBL_MAX]
+    assert is_nsd(causal_symbol(1e308, 0.0), 1e-9)
+    # the lower eigenvalue, -2e308, is beyond the double range; the top one is 0
+    assert is_nsd(causal_symbol(1e308, 1e308), 1e-9)
+    assert is_nsd(steep_symbol(1e308, 0.0), 1e-9)
+    assert not is_nsd(steep_symbol(1.0, 1.5e308), 1e-9)
 
 
 def test_is_nsd_trivial_cases():

@@ -220,6 +220,18 @@ def test_gradient_check_rejects_non_finite_differences():
         is_causal_function(overflowing, Grid(1e10, 2e10, 0.0, 0.0, 3, 1))
 
 
+@pytest.mark.parametrize("gt, gx", [
+    (np.inf, 0.0), (-np.inf, 0.0), (1.0, np.inf), (1.0, -np.inf), (np.nan, 0.0), (1.0, np.nan),
+])
+def test_gradient_check_rejects_a_non_finite_supplied_gradient(gt, gx):
+    # the values are finite (f = t), so only the supplied gradient is wrong;
+    # an infinite one must not make the tolerance infinite
+    lying = ScalarField(lambda t, x: (t, np.full_like(t, gt), np.full_like(t, gx)))
+    for certificate in (is_causal_function, is_steep_function):
+        with pytest.raises(GradientMismatch):
+            certificate(lying, Grid(-1.0, 1.0, -1.0, 1.0, 3, 3))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, grid", [
     # the right gradient; the value at (-DBL_MAX, -DBL_MAX) is -1.5 DBL_MAX
