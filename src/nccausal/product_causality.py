@@ -616,12 +616,14 @@ class CausalElement:
 
 
 WITNESS_TOL = 1e-6
-# The base witness's rapidity: at least 4, the steepest of the boosted tanh
-# profiles that verify's cone-monotonicity row certifies, and that far past
-# the root of the gain. It is capped where the certificate still rounds
-# below NSD_TOL: the symbol's entries grow as cosh(beta) while its largest
-# eigenvalue is -sech^2 e^-|beta|, and from |beta| of about 18 the rounding
-# of the symbol and of its 4x4 eigensolve outweighs it.
+# The base witness's rapidity: at least 4, the steepest boosted tanh atom of
+# verify's cone-monotonicity row, and that far past the root of the gain.
+# Like those atoms, the witness is in the cone on the whole plane by the
+# closed form of its symbol's eigenvalues, -f_t +- |f_x| = -sech^2 e^-|beta|.
+# The rapidity is capped where a grid certificate still rounds below
+# NSD_TOL: the symbol's entries grow as cosh(beta) while its largest
+# eigenvalue shrinks as sech^2 e^-|beta|, and from |beta| of about 18 the
+# rounding of the symbol and of its 4x4 eigensolve outweighs it.
 WITNESS_RAPIDITY = 4.0
 WITNESS_BOOST_CAP = 16.0
 
@@ -673,9 +675,11 @@ def separating_element_search(
 
     The candidate is returned when its gap is below ``-WITNESS_TOL``. A pair
     whose base is causal and whose latitudes agree (a speed-limit failure or
-    a related pair) returns ``None`` at once: no single certified atom, a
-    profile of :func:`nccausal.verify.monotonicity_profiles` times a Pauli
-    matrix, separates it, so ``None`` by itself is inconclusive.
+    a related pair) returns ``None`` at once: no atom u H with
+    H = c0 id + cz sz in the cone separates it, since its symbol's
+    eigenvalues (-u_t +- |u_x|)(c0 +- cz) put it in the cone only when u is
+    constant or +-u is causal with +-H positive semidefinite, so ``None`` by
+    itself is inconclusive.
 
     Neither closed form depends on ``df``, and no work depends on ``grid``.
     When a grid is passed it must cover both events with margin at least

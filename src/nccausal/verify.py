@@ -643,29 +643,22 @@ def verify_spacetime(seed: int) -> list[CheckResult]:
 BETA_GRID = (0.0, 0.75, -0.75, 1.5, -1.5, 2.5, -2.5, 4.0, -4.0)
 
 
-def _bump_profile(tc: float, xc: float, width: float) -> ScalarField:
-    w2 = width * width
+def cone_atoms(p: Event, q: Event) -> tuple[CausalElement, ...]:
+    """The atoms of the cone-monotonicity row: the constants ``id`` and
+    ``sz``, and tanh of the time coordinate boosted by each rapidity of
+    ``BETA_GRID`` times ``id``, centred between the two events.
 
-    def jet(t, x):
-        dt = t - tc
-        dx = x - xc
-        u = np.exp(-(dt * dt + dx * dx) / (2.0 * w2))
-        return u, -dt / w2 * u, -dx / w2 * u
-
-    return ScalarField(jet, f"bump[{tc:g},{xc:g};{width:g}]")
-
-
-def monotonicity_profiles(p: Event, q: Event) -> tuple[ScalarField, ...]:
-    """The profiles of the cone-monotonicity atoms: the constant, tanh of
-    boosted time coordinates (rapidities ``BETA_GRID``), and two Gaussian
-    bumps, all centred between the two events."""
-    sep = math.hypot(q.t - p.t, q.x - p.x)
-    width = max(sep, 1.0)
+    Each is in the cone on the whole plane, by the closed form of the symbol
+    of u (c0 id + cz sz): its eigenvalues are (-u_t +- |u_x|)(c0 +- cz). A
+    constant that commutes with the diagonal D_F has a zero symbol, and the
+    tanh profile's gradient sech^2 (cosh beta, sinh beta) has
+    -u_t + |u_x| = -sech^2 e^-|beta| <= 0.
+    """
     tc, xc = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
-    return (
-        (_const_profile(),)
-        + tuple(_boost_tanh_profile(b, tc, xc) for b in BETA_GRID)
-        + (_bump_profile(tc, xc, width), _bump_profile(tc, xc, 0.5 * width))
+    ident, sz = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]
+    const = _const_profile()
+    return (CausalElement(const, ident), CausalElement(const, sz)) + tuple(
+        CausalElement(_boost_tanh_profile(b, tc, xc), ident) for b in BETA_GRID
     )
 
 
@@ -792,24 +785,15 @@ def verify_product(seed: int, df: FiniteDirac) -> list[CheckResult]:
         CheckResult("product", "lightlike_rigidity", violations == 0, violations)
     )
 
-    # cone monotonicity: certified atoms, each profile times each Pauli
-    # matrix, never decrease along the order
+    # cone monotonicity: elements of the cone never decrease along the order
     worst = -math.inf
     pairs = list(related_product_pairs(rng, df, 50).pairs())
-    profiles = monotonicity_profiles(pairs[0][0].event, pairs[0][1].event)
-    grid = Grid(-8.0, 8.0, -8.0, 8.0, 15, 15)
-    atoms = [CausalElement(f, unit) for f in profiles for unit in np.eye(4)]
-    certified = [atom for atom in atoms if atom.is_certified(grid, df)]
+    atoms = cone_atoms(pairs[0][0].event, pairs[0][1].event)
     for w1, w2 in pairs:
-        for element in certified:
+        for element in atoms:
             worst = max(worst, element.eval_state(w1) - element.eval_state(w2))
     results.append(
-        CheckResult(
-            "product",
-            "cone_monotonicity",
-            bool(certified) and worst <= 1e-9,
-            worst,
-        )
+        CheckResult("product", "cone_monotonicity", worst <= 1e-9, worst)
     )
 
     dft, dfx, val = rng.uniform(-2, 2, (200, 3)).T

@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import nccausal.verify as verify
 from nccausal import (
     CausalElement,
     CoordinateOverflow,
@@ -26,6 +29,7 @@ from nccausal import (
     PoleState,
     ProductCurve,
     ProductState,
+    ScalarField,
     causal_symbol,
     causally_precedes,
     causally_related,
@@ -43,8 +47,16 @@ from nccausal import (
     state_eval,
     state_on_parallel,
 )
-from nccausal.product_causality import _GRADIENT_BLOCKS, _UNIT_GAP_BLOCKS, _symbol_blocks
-from nccausal.verify import monotonicity_profiles, random_product_pair, related_product_pair
+from nccausal.product_causality import (
+    _GRADIENT_BLOCKS,
+    _UNIT_GAP_BLOCKS,
+    _boost_tanh_profile,
+    _const_profile,
+    _symbol_blocks,
+)
+from nccausal.scene import default_scene
+from nccausal.spacetime import NSD_TOL
+from nccausal.verify import cone_atoms, random_product_pair, related_product_pair
 
 E = Event
 I2 = np.eye(2, dtype=complex)
@@ -73,8 +85,35 @@ def reference_symbol(a, at, ax, df):
     )
 
 
+def bump_profile(tc, xc, width):
+    """A Gaussian bump centred at (tc, xc): a scalar field that is not causal,
+    since it falls toward the future of its centre."""
+    w2 = width * width
+
+    def jet(t, x):
+        dt = t - tc
+        dx = x - xc
+        u = np.exp(-(dt * dt + dx * dx) / (2.0 * w2))
+        return u, -dt / w2 * u, -dx / w2 * u
+
+    return ScalarField(jet, f"bump[{tc:g},{xc:g};{width:g}]")
+
+
+def dictionary_profiles(p, q):
+    """The library's profiles centred at the midpoint of p and q, the constant
+    and tanh of the time coordinate boosted by each rapidity of BETAS, and
+    two Gaussian bumps of widths the separation (at least 1) and half of it."""
+    tc, xc = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
+    width = max(math.hypot(q.t - p.t, q.x - p.x), 1.0)
+    return (
+        (_const_profile(),)
+        + tuple(_boost_tanh_profile(b, tc, xc) for b in BETAS)
+        + (bump_profile(tc, xc, width), bump_profile(tc, xc, 0.5 * width))
+    )
+
+
 def reference_jets(p, q):
-    """The profiles of ``monotonicity_profiles(p, q)`` written out with math.tanh
+    """The profiles of ``dictionary_profiles(p, q)`` written out with math.tanh
     and math.exp, each mapping (t, x) to (u, du/dt, du/dx): the constant,
     tanh of the time coordinate boosted by each rapidity of BETAS, and two
     Gaussian bumps, all centred at the midpoint of p and q."""
@@ -229,7 +268,7 @@ def test_eval_state_is_state_eval_of_the_element_value():
     # signed unit Pauli vectors, the only ones the library builds, and within
     # 4 ulps of the terms' scale on random ones
     rng = np.random.default_rng(31)
-    profiles = monotonicity_profiles(E(0, 0), E(2, 0.5))
+    profiles = dictionary_profiles(E(0, 0), E(2, 0.5))
     units = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
     eps = np.finfo(float).eps
     for n in range(300):
@@ -255,7 +294,7 @@ def test_max_symbol_eigenvalue_matches_per_event_reference():
     df = FiniteDirac(1.0, 2.0)
     rng = np.random.default_rng(27)
     p, q = E(0, 0), E(2, 0.5)
-    profiles = monotonicity_profiles(p, q)
+    profiles = dictionary_profiles(p, q)
     jets = reference_jets(p, q)
     assert len(profiles) == len(jets)
     grid = Grid(-3.0, 5.0, -3.0, 3.5, 9, 9)
@@ -276,7 +315,7 @@ def test_tabulated_profiles_match_their_reference_and_differences():
     p, q = E(-0.4, 0.3), E(1.7, -0.6)
     t, x = rng.uniform(-4, 4, (2, 200))
     h = 1e-6
-    for profile, jet in zip(monotonicity_profiles(p, q), reference_jets(p, q), strict=True):
+    for profile, jet in zip(dictionary_profiles(p, q), reference_jets(p, q), strict=True):
         table = np.array(profile.jet(t, x))
         assert table.shape == (3, 200)
         want = np.array([jet(a, b) for a, b in zip(t, x)]).T
@@ -301,7 +340,7 @@ def test_dictionary_profiles_are_scalar_fields():
     for p, q in pairs:
         sep = math.hypot(q.t - p.t, q.x - p.x)
         grid = Grid.covering(p, q, margin=sep + 1.0, n_t=13, n_x=13)
-        profiles = monotonicity_profiles(p, q)
+        profiles = dictionary_profiles(p, q)
         names = [f.name.partition("[")[0] for f in profiles]
         verdicts = [is_causal_function(f, grid) for f in profiles]
         assert names == ["const"] + ["tanh_boost"] * len(BETAS) + ["bump"] * 2
@@ -309,7 +348,7 @@ def test_dictionary_profiles_are_scalar_fields():
 
 
 def test_constant_profile_gives_floats_on_floats_and_arrays_on_arrays():
-    jet = monotonicity_profiles(E(0.0, 0.0), E(1.0, 0.0))[0].jet
+    jet = _const_profile().jet
     values = jet(0.25, -1.5)
     assert values == (1.0, 0.0, 0.0) and all(type(v) is float for v in values)
     assert not any(math.copysign(1.0, v) < 0.0 for v in values)
@@ -789,19 +828,67 @@ def test_separating_search_far_apart_raises_overflow(p, q):
 def test_certified_atoms_are_monotone_along_the_order():
     df = FiniteDirac(1.0, 2.0)
     rng = np.random.default_rng(24)
-    profiles = monotonicity_profiles(E(0, 0), E(2, 0.5))
-    grid = Grid(-8.0, 8.0, -8.0, 8.0, 15, 15)
-    atoms = [CausalElement(f, unit) for f in profiles for unit in np.eye(4)]
-    certified = [atom for atom in atoms if atom.is_certified(grid, df)]
-    assert certified  # the constant and tanh-boost scalar atoms at least
+    atoms = cone_atoms(E(0, 0), E(2, 0.5))
+    assert len(atoms) == 2 + len(BETAS)
     for _ in range(10):
         w1, w2 = related_product_pair(rng, df)
-        for element in certified:
+        for element in atoms:
             assert element.eval_state(w1) <= element.eval_state(w2) + 1e-9
 
 
+FINE = Grid(-8.0, 8.0, -8.0, 8.0, 161, 161)
+
+
+@pytest.mark.parametrize("seed", [5, 42])
+def test_cone_atoms_are_in_the_cone_and_the_dropped_candidates_are_not(monkeypatch, seed):
+    # the first related pair of verify's cone_monotonicity row at the seed;
+    # the row's atoms have a negative semidefinite symbol on a fine grid of
+    # its rectangle, and each candidate it leaves out is clearly positive
+    df = default_scene().dirac
+    seen = []
+    monkeypatch.setattr(
+        verify, "cone_atoms", lambda p, q: seen.append((p, q)) or cone_atoms(p, q)
+    )
+    verify.run_suites("product", seed, df)
+    p, q = seen[0]
+    for atom in cone_atoms(p, q):
+        assert atom.max_symbol_eigenvalue(FINE, df) <= NSD_TOL, atom.describe()
+    tc, xc = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
+    width = max(math.hypot(q.t - p.t, q.x - p.x), 1.0)
+    units = np.eye(4)
+    dropped = [
+        CausalElement(_boost_tanh_profile(b, tc, xc), units[k])
+        for b in BETAS
+        for k in (1, 2, 3)
+    ]
+    dropped += [CausalElement(_const_profile(), units[k]) for k in (2, 3)]
+    dropped += [
+        CausalElement(bump_profile(tc, xc, w), unit)
+        for w in (width, 0.5 * width)
+        for unit in units
+    ]
+    for atom in dropped:
+        assert atom.max_symbol_eigenvalue(FINE, df) > 0.5, atom.describe()  # 0.63 at least
+
+
+coordinate = st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coordinate, coordinate, coordinate, coordinate, coordinate, coordinate, coordinate)
+def test_diagonal_element_symbol_has_the_closed_form_eigenvalues(u, ut, ux, c0, cz, d1, d2):
+    # u (c0 id + cz sz) commutes with the diagonal D_F, so its symbol is
+    # (-u_t I + u_x gamma_m) (x) H, with eigenvalues (-u_t +- |u_x|)(c0 +- cz)
+    assume(abs(d1 - d2) > 1e-12)
+    h = np.diag([c0 + cz, c0 - cz]).astype(complex)
+    got = np.linalg.eigvalsh(product_symbol(u * h, ut * h, ux * h, FiniteDirac(d1, d2)))
+    want = sorted((-ut + s * abs(ux)) * (c0 + r * cz) for s in (1, -1) for r in (1, -1))
+    scale = (abs(ut) + abs(ux)) * (abs(c0) + abs(cz))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
 def test_causal_element_coefficient_validation():
-    profile = monotonicity_profiles(E(0, 0), E(1, 0))[0]
+    profile = _const_profile()
     with pytest.raises(ValueError):
         CausalElement(profile, np.zeros(3))
     with pytest.raises(ValueError):

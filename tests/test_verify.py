@@ -1,11 +1,13 @@
 """The verify suites themselves: each suite reproduces its own lines of the
 committed seed-42 artifact when run alone, the distance and oracle rows fail
 exactly when their checks do, the stacked symbol checks and the order rows
-fail when a planted fault reaches the functions they call, the one known
-unsound cone certificate is pinned until the certificate is made sound, the
-shared generators, scalar and stacked, draw the same stream as reference
-copies written with ``Generator.uniform``, and the stacked order rows give
-the rows and generator state of the scalar loops they replaced."""
+fail when a planted fault reaches the functions they call, the
+cone-monotonicity row fails when an atom outside the cone joins its atoms,
+the one known unsound cone certificate is pinned until the certificate is
+made sound, the shared generators, scalar and stacked, draw the same stream
+as reference copies written with ``Generator.uniform``, and the stacked
+order rows give the rows and generator state of the scalar loops they
+replaced."""
 
 import math
 from pathlib import Path
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import nccausal.verify as verify
 import nccausal.product_causality as product_causality
+from nccausal.product_causality import _boost_tanh_profile
 from nccausal import (
     CausalElement,
     Event,
@@ -175,25 +178,32 @@ def test_planted_faults_fail_the_stacked_rows(monkeypatch, name, fault, suite, r
 
 
 # The first related pair that ``verify --suite product --seed 5`` draws for
-# cone_monotonicity, whose atoms tanh_boost[+-4]*sz the coarse
-# grid certifies although their symbols reach about e^4 between its points.
+# cone_monotonicity. Centred between its events, the atoms tanh_boost[+-4]*sz
+# pass the coarse grid's certificate although their symbols reach about e^4
+# between its points.
 SEED5_P = Event(2.6825013344447735, -1.2488970165826365)
 SEED5_Q = Event(2.9998452380192515, -1.0377865892012694)
 COARSE = Grid(-8.0, 8.0, -8.0, 8.0, 15, 15)
 
 
 def _steep_sz_atoms():
+    tc, xc = 0.5 * (SEED5_P.t + SEED5_Q.t), 0.5 * (SEED5_P.x + SEED5_Q.x)
     sz = [0.0, 1.0, 0.0, 0.0]
-    atoms = [
-        CausalElement(f, sz)
-        for f in verify.monotonicity_profiles(SEED5_P, SEED5_Q)
-        if f.name.startswith(("tanh_boost[4]", "tanh_boost[-4]"))
-    ]
+    atoms = [CausalElement(_boost_tanh_profile(b, tc, xc), sz) for b in (4.0, -4.0)]
     assert [atom.describe() for atom in atoms] == [
         "+1*tanh_boost[4]@(2.84117,-1.14334)*sz",
         "+1*tanh_boost[-4]@(2.84117,-1.14334)*sz",
     ]
     return atoms
+
+
+def test_planted_steep_sz_atom_fails_cone_monotonicity(monkeypatch):
+    cone_atoms = verify.cone_atoms
+    assert "cone_monotonicity" not in _failed_rows(verify.run_suites("product", 5, DIRAC))
+    monkeypatch.setattr(
+        verify, "cone_atoms", lambda p, q: cone_atoms(p, q) + tuple(_steep_sz_atoms()[:1])
+    )
+    assert "cone_monotonicity" in _failed_rows(verify.run_suites("product", 5, DIRAC))
 
 
 def test_steep_sz_atoms_leave_the_cone_between_coarse_grid_points():
